@@ -32,7 +32,7 @@ import numpy as np
 
 from .model import Classifier, NoiseKernel, SubpopulationScenario, ValidationError
 from .analytic import discretize_instance
-from .noise import solve_deterministic_noisy, subpop_accuracies, threshold_sweep
+from .noise import solve_deterministic_noisy, subpop_accuracies
 from .reproduce import Check, ReproduceResult, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario
 from .solvers import solve_efficiency_lp
@@ -149,20 +149,9 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
     scen = loaded.scenario
 
     if args.mode == "deterministic":
-        if args.objective == "utility":
-            rep = solve_deterministic_noisy(scen)
-            best_value = rep.objective
-            tau, strict = rep.tau, rep.strict
-        else:
-            best = None
-            for point in threshold_sweep(scen):
-                if best is None or point.efficiency > best.efficiency:
-                    best = point
-            clf = Classifier.threshold(scen.space, best.tau, strict=best.strict)
-            best_value = subpop_accuracies(clf, scen).efficiency
-            tau, strict = best.tau, best.strict
+        rep = solve_deterministic_noisy(scen, args.objective)
         key = "U" if args.objective == "utility" else "E"
-        pairs = [("tau", tau), ("strict", strict), (key, best_value)]
+        pairs = [("tau", rep.tau), ("strict", rep.strict), (key, rep.objective)]
         _emit_record(pairs, args.format, out)
         return 0
 

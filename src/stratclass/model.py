@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Any, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -31,6 +31,7 @@ __all__ = [
     "Classifier",
     "NoiseKernel",
     "SubpopulationScenario",
+    "SolveReport",
     "validate_simple_cost",
     "shift_cost",
     "is_lipschitz",
@@ -86,16 +87,22 @@ class FeatureSpace:
         return self.n
 
     def matches(self, other: "FeatureSpace") -> bool:
-        return self.points.shape == other.points.shape and bool(
-            np.all(self.points == other.points)
+        # objects built together share one grid object; skip the comparison
+        return self is other or (
+            self.points.shape == other.points.shape
+            and bool(np.all(self.points == other.points))
         )
 
 
 def _require_same_space(*objs) -> FeatureSpace:
+    """The grid every object lives on; raise if any two differ."""
     space = objs[0].space
     for o in objs[1:]:
         if not space.matches(o.space):
-            raise ValidationError("objects are defined on different feature grids")
+            raise ValidationError(
+                f"{type(objs[0]).__name__} and {type(o).__name__} must share the "
+                "feature grid, but live on different grids"
+            )
     return space
 
 
@@ -406,11 +413,8 @@ class SubpopulationScenario:
         total = float(shares.sum())
         if abs(total - 1.0) > PROB_ATOL:
             raise ValidationError(f"shares: entries must sum to 1 (got {total!r})")
-        for fn in fns:
-            if not fn.space.matches(self.pop.space):
-                raise ValidationError("cost_fns: all subpopulations must share the feature grid")
-        if self.kernel is not None and not self.kernel.space.matches(self.pop.space):
-            raise ValidationError("kernel: must share the feature grid")
+        kernel = [] if self.kernel is None else [self.kernel]
+        _require_same_space(self.pop, *fns, *kernel)
         labels = tuple(self.labels)
         if not labels:
             labels = tuple(
@@ -429,3 +433,22 @@ class SubpopulationScenario:
     @property
     def k(self) -> int:
         return int(self.shares.size)
+
+
+def _single(
+    pop: Population, c: CostFunction, kernel: NoiseKernel | None = None
+) -> SubpopulationScenario:
+    """The one-group scenario: the whole population pays cost ``c``."""
+    return SubpopulationScenario(pop, (1.0,), (c,), kernel)
+
+
+@dataclass(frozen=True, eq=False)
+class SolveReport:
+    """A solver's winner plus enough context to reproduce it."""
+
+    classifier: Classifier
+    objective: float
+    method: str
+    tau: float | None = None
+    strict: bool | None = None
+    details: dict[str, Any] | None = None

@@ -1,18 +1,18 @@
-"""The game observed through a noisy feature channel, and subpopulations.
+"""The game observed through a noisy feature channel, and threshold scans.
 
 With a noise kernel in play, a contestant who reports signal x is observed at
 x' with probability ``rows[x, x']``, so the published classifier ``f`` acts
 on contestants through its effective acceptance curve q = rows @ f.
 Contestants best-respond to q exactly as they would to a classifier.
 
-Subpopulation scenarios share one feature distribution and one kernel but
-price manipulation differently per group; the institution publishes a single
-classifier and we report each group's accuracy separately.
+The evaluation itself lives in :mod:`stratclass.game`; the ``noisy_*``
+payoffs are one-group wrappers over it.  :func:`threshold_sweep` evaluates
+every threshold cut of a subpopulation scenario with the same per-group
+reduction, and :func:`solve_deterministic_noisy` is the one scan for the best.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,18 +20,21 @@ import numpy as np
 from .game import (
     KNIFE_EDGE_ATOL,
     BestResponse,
-    KnifeEdgeWarning,
-    _accuracy,
-    _strategy_cost,
+    SubpopReport,
+    _respond,
+    _subpop_report,
     _target_indices,
+    effective_acceptance,
+    subpop_accuracies,
 )
 from .model import (
     Classifier,
     CostFunction,
     NoiseKernel,
     Population,
+    SolveReport,
     SubpopulationScenario,
-    ValidationError,
+    _single,
 )
 
 __all__ = [
@@ -48,32 +51,6 @@ __all__ = [
 ]
 
 
-def _check_noisy_classifier(
-    f: Classifier, kernel: NoiseKernel | None, allow_randomized: bool
-) -> None:
-    # The deterministic-only policy belongs to the genuinely noisy game;
-    # with no kernel these functions are the noiseless game, where
-    # randomized classifiers are the whole point.
-    if kernel is not None and not allow_randomized and not f.is_deterministic:
-        raise ValidationError(
-            "the noisy pipeline expects a deterministic classifier "
-            "(pass allow_randomized=True to override)"
-        )
-
-
-def effective_acceptance(f: Classifier, kernel: NoiseKernel | None) -> np.ndarray:
-    """Acceptance probability each signal faces once noise is applied.
-
-    With no kernel this is ``f.probs`` itself; the identity kernel produces
-    the same bits, so the noiseless game is the exact special case.
-    """
-    if kernel is None:
-        return f.probs
-    if not kernel.space.matches(f.space):
-        raise ValueError("kernel and classifier live on different grids")
-    return kernel.rows @ f.probs
-
-
 def noisy_best_response(
     f: Classifier,
     kernel: NoiseKernel | None,
@@ -81,13 +58,7 @@ def noisy_best_response(
     allow_randomized: bool = False,
 ) -> BestResponse:
     """Strict-improvement moves against the effective acceptance curve."""
-    _check_noisy_classifier(f, kernel, allow_randomized)
-    if not f.space.matches(c.space):
-        raise ValueError("classifier and cost function live on different grids")
-    q = effective_acceptance(f, kernel)
-    target = _target_indices(q, c.costs)
-    moved = target != np.arange(f.space.n)
-    return BestResponse(target=target, moved=moved)
+    return _respond(f, kernel, c, allow_randomized)
 
 
 def noisy_utility(
@@ -98,10 +69,7 @@ def noisy_utility(
     allow_randomized: bool = False,
 ) -> float:
     """Expected accuracy through the channel after contestants respond."""
-    _check_noisy_classifier(f, kernel, allow_randomized)
-    q = effective_acceptance(f, kernel)
-    target = _target_indices(q, c.costs)
-    return _accuracy(pop.pi, pop.h, q[target])
+    return subpop_accuracies(f, _single(pop, c, kernel), allow_randomized).utility
 
 
 def noisy_strategy_cost(
@@ -112,10 +80,7 @@ def noisy_strategy_cost(
     allow_randomized: bool = False,
 ) -> float:
     """Manipulation spend of the qualified mass through the channel."""
-    _check_noisy_classifier(f, kernel, allow_randomized)
-    q = effective_acceptance(f, kernel)
-    target = _target_indices(q, c.costs)
-    return _strategy_cost(pop.pi, pop.h, c.costs, target)
+    return subpop_accuracies(f, _single(pop, c, kernel), allow_randomized).cost
 
 
 def noisy_efficiency(
@@ -127,57 +92,8 @@ def noisy_efficiency(
     allow_randomized: bool = False,
 ) -> float:
     """Accuracy minus ``beta`` times manipulation spend, through the channel."""
-    _check_noisy_classifier(f, kernel, allow_randomized)
-    q = effective_acceptance(f, kernel)
-    target = _target_indices(q, c.costs)
-    u = _accuracy(pop.pi, pop.h, q[target])
-    k = _strategy_cost(pop.pi, pop.h, c.costs, target)
-    return u - beta * k
-
-
-@dataclass(frozen=True, eq=False)
-class SubpopReport:
-    """Per-group accuracy and manipulation spend under one classifier."""
-
-    labels: tuple[str, ...]
-    utilities: tuple[float, ...]
-    costs: tuple[float, ...]
-    utility: float  # share-weighted overall accuracy
-    cost: float  # share-weighted overall manipulation spend
-    gap: float  # spread between best- and worst-served group
-
-    @property
-    def efficiency(self) -> float:
-        return self.utility - self.cost
-
-
-def subpop_accuracies(
-    f: Classifier,
-    scenario: SubpopulationScenario,
-    allow_randomized: bool = False,
-) -> SubpopReport:
-    """Evaluate a classifier group by group on a subpopulation scenario."""
-    _check_noisy_classifier(f, scenario.kernel, allow_randomized)
-    if not f.space.matches(scenario.space):
-        raise ValueError("classifier and scenario live on different grids")
-    pop = scenario.pop
-    q = effective_acceptance(f, scenario.kernel)
-    us: list[float] = []
-    ks: list[float] = []
-    for fn in scenario.cost_fns:
-        target = _target_indices(q, fn.costs)
-        us.append(_accuracy(pop.pi, pop.h, q[target]))
-        ks.append(_strategy_cost(pop.pi, pop.h, fn.costs, target))
-    us_arr = np.array(us)
-    ks_arr = np.array(ks)
-    return SubpopReport(
-        labels=scenario.labels,
-        utilities=tuple(us),
-        costs=tuple(ks),
-        utility=float(np.dot(scenario.shares, us_arr)),
-        cost=float(np.dot(scenario.shares, ks_arr)),
-        gap=float(us_arr.max() - us_arr.min()),
-    )
+    rep = subpop_accuracies(f, _single(pop, c, kernel), allow_randomized)
+    return rep.utility - beta * rep.cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,25 +109,6 @@ class SweepPoint:
     subpop_utilities: tuple[float, ...]
     subpop_costs: tuple[float, ...]
     gap: float
-
-
-def _sweep_candidates(points: np.ndarray):
-    """All (tau, strict) pairs on the grid, deduplicated by acceptance set.
-
-    Candidates run from the most permissive set downward; each acceptance
-    set keeps the first (tau, strict) pair that produces it, so a set that
-    first appears as "strictly above the previous point" is reported that
-    way.
-    """
-    seen: set[int] = set()
-    n = points.size
-    for k in range(n):
-        for strict in (False, True):
-            start = k + 1 if strict else k
-            if start in seen:
-                continue
-            seen.add(start)
-            yield float(points[k]), strict, start
 
 
 def _fast_threshold_targets(costs: np.ndarray, start: int) -> np.ndarray:
@@ -235,79 +132,74 @@ def _fast_threshold_targets(costs: np.ndarray, start: int) -> np.ndarray:
 def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     """Evaluate every threshold acceptance set on a scenario, bottom up.
 
-    Returns one point per distinct acceptance suffix (n + 1 in all),
-    covering both strict and non-strict thresholds at every grid value.
+    Returns one point per distinct acceptance suffix (n + 1 in all), from
+    accept-all (``start`` = 0) up.  Each is labelled by the first (tau,
+    strict) pair that produces it: ``(points[0], False)`` for accept-all and
+    ``(points[start - 1], True)`` for every other cut.
     """
-    pop = scenario.pop
     space = scenario.space
     n = space.n
     kernel = scenario.kernel
-    shares = scenario.shares
-
     # The noiseless fast path is valid when each cost row is nondecreasing
     # (so the first accepted point is the cheapest destination) and no cost
     # sits on the knife edge against the unit gain, where the generic path
     # would emit its diagnostic.
-    fast_ok: list[bool] = []
-    for fn in scenario.cost_fns:
-        rows_monotone = bool(np.all(np.diff(fn.costs, axis=1) >= 0.0))
-        no_knife = not np.any(np.abs(fn.costs - 1.0) < KNIFE_EDGE_ATOL)
-        fast_ok.append(kernel is None and rows_monotone and no_knife)
+    fast_ok = [
+        kernel is None
+        and bool(np.all(np.diff(fn.costs, axis=1) >= 0.0))
+        and not np.any(np.abs(fn.costs - 1.0) < KNIFE_EDGE_ATOL)
+        for fn in scenario.cost_fns
+    ]
 
     out: list[SweepPoint] = []
-    for tau, strict, start in _sweep_candidates(space.points):
+    for start in range(n + 1):
         probs = np.zeros(n)
         probs[start:] = 1.0
         q = probs if kernel is None else kernel.rows @ probs
-        us: list[float] = []
-        ks: list[float] = []
-        for s, fn in enumerate(scenario.cost_fns):
-            if fast_ok[s]:
-                target = _fast_threshold_targets(fn.costs, start)
-            else:
-                target = _target_indices(q, fn.costs)
-            us.append(_accuracy(pop.pi, pop.h, q[target]))
-            ks.append(_strategy_cost(pop.pi, pop.h, fn.costs, target))
-        us_arr = np.array(us)
-        ks_arr = np.array(ks)
-        u = float(np.dot(shares, us_arr))
-        k = float(np.dot(shares, ks_arr))
+        targets = [
+            _fast_threshold_targets(fn.costs, start) if fast else _target_indices(q, fn.costs)
+            for fast, fn in zip(fast_ok, scenario.cost_fns)
+        ]
+        rep = _subpop_report(scenario, q, targets)
         out.append(
             SweepPoint(
-                tau=tau,
-                strict=strict,
+                tau=float(space.points[max(start - 1, 0)]),
+                strict=start > 0,
                 start=start,
-                utility=u,
-                cost=k,
-                efficiency=u - k,
-                subpop_utilities=tuple(us),
-                subpop_costs=tuple(ks),
-                gap=float(us_arr.max() - us_arr.min()),
+                utility=rep.utility,
+                cost=rep.cost,
+                efficiency=rep.efficiency,
+                subpop_utilities=rep.utilities,
+                subpop_costs=rep.costs,
+                gap=rep.gap,
             )
         )
     return tuple(out)
 
 
-def solve_deterministic_noisy(scenario: SubpopulationScenario):
-    """Utility-best threshold on a (possibly noisy) subpopulation scenario.
+def solve_deterministic_noisy(
+    scenario: SubpopulationScenario, objective: str = "utility"
+) -> SolveReport:
+    """Best threshold on a (possibly noisy) subpopulation scenario.
 
-    Scans the sweep from the most permissive acceptance set down and keeps
-    the first strict improvement, then re-evaluates the winner through
+    ``objective`` is ``"utility"`` or ``"efficiency"``.  Scans the sweep
+    from the most permissive acceptance set down and keeps the first strict
+    improvement, then re-evaluates the winner through
     :func:`subpop_accuracies` so the reported numbers match a standalone
     evaluation bit for bit.
     """
-    from .solvers import SolveReport
-
+    if objective not in ("utility", "efficiency"):
+        raise ValueError(f"objective must be 'utility' or 'efficiency', got {objective!r}")
     points = threshold_sweep(scenario)
     best = points[0]
     for p in points[1:]:
-        if p.utility > best.utility:
+        if getattr(p, objective) > getattr(best, objective):
             best = p
     clf = Classifier.threshold(scenario.space, best.tau, strict=best.strict)
     report = subpop_accuracies(clf, scenario)
     return SolveReport(
         classifier=clf,
-        objective=report.utility,
+        objective=getattr(report, objective),
         method="enumeration",
         tau=best.tau,
         strict=best.strict,

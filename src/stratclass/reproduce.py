@@ -24,19 +24,19 @@ from .analytic import (
     noiseless_overall_utility,
     noisy_fair_utility,
 )
-from .game import KnifeEdgeWarning, efficiency, strategy_cost, utility
+from .game import KnifeEdgeWarning, efficiency
 from .model import (
     Classifier,
     CostFunction,
     FeatureSpace,
     NoiseKernel,
     Population,
+    _single,
     is_lipschitz,
 )
 from .noise import (
     effective_acceptance,
     noisy_best_response,
-    noisy_efficiency,
     noisy_utility,
     solve_deterministic_noisy,
     subpop_accuracies,
@@ -170,9 +170,7 @@ def verify_threepoint(tol: float | None = None) -> list[Check]:
     exact = tol if tol is not None else 1e-12
     pop, cost, clf = threepoint_example()
     with _quiet():
-        u = utility(clf, pop, cost)
-        c = strategy_cost(clf, pop, cost)
-        e = efficiency(clf, pop, cost)
+        rep = subpop_accuracies(clf, _single(pop, cost))
         det = solve_deterministic(pop, cost)
         lp = solve_efficiency_lp(pop, cost)
         oracle = grid_oracle(pop, cost, resolution=20, beta=0.0, monotone_only=True)
@@ -180,9 +178,9 @@ def verify_threepoint(tol: float | None = None) -> list[Check]:
         eq = is_equilibrium(clf, pop, cost)
     bound = 2.0 / 3.0 + exact
     return [
-        _close("accuracy of the mixed classifier", 29.0 / 30.0, u, exact),
-        _close("strategy spend of the mixed classifier", 0.3, c, exact),
-        _close("efficiency of the mixed classifier", 2.0 / 3.0, e, exact),
+        _close("accuracy of the mixed classifier", 29.0 / 30.0, rep.utility, exact),
+        _close("strategy spend of the mixed classifier", 0.3, rep.cost, exact),
+        _close("efficiency of the mixed classifier", 2.0 / 3.0, rep.efficiency, exact),
         _holds(
             "best monotone accuracy stays at the deterministic level",
             oracle.objective <= bound,
@@ -193,9 +191,9 @@ def verify_threepoint(tol: float | None = None) -> list[Check]:
         _close("best covered-classifier efficiency (LP)", 2.0 / 3.0, lp.objective, exact),
         _holds(
             "mixed classifier beats the deterministic optimum",
-            u > det.objective,
+            rep.utility > det.objective,
             f"> {_fmt(det.objective)}",
-            _fmt(u),
+            _fmt(rep.utility),
         ),
         _holds("mixed classifier is unstable for the institution", not eq, "false", str(eq).lower()),
         _close("best unilateral improvement", 1.0 / 30.0, dev.gain, exact),
@@ -206,26 +204,24 @@ def verify_twopoint(tol: float | None = None) -> list[Check]:
     exact = tol if tol is not None else 1e-12
     pop, cost, clf = twopoint_example()
     with _quiet():
-        u = utility(clf, pop, cost)
-        c = strategy_cost(clf, pop, cost)
-        e = efficiency(clf, pop, cost)
+        rep = subpop_accuracies(clf, _single(pop, cost))
         det = solve_deterministic(pop, cost)
         lp = solve_efficiency_lp(pop, cost)
         dev = best_deviation(clf, pop, cost)
         eq = is_equilibrium(clf, pop, cost)
     lp_probs_err = float(np.max(np.abs(lp.classifier.probs - np.array([0.5, 1.0]))))
     return [
-        _close("accuracy of the half-half classifier", 0.75, u, exact),
-        _close("strategy spend", 0.0, c, exact),
-        _close("efficiency", 0.75, e, exact),
+        _close("accuracy of the half-half classifier", 0.75, rep.utility, exact),
+        _close("strategy spend", 0.0, rep.cost, exact),
+        _close("efficiency", 0.75, rep.efficiency, exact),
         _close("best deterministic accuracy", 0.5, det.objective, exact),
         _close("best covered-classifier efficiency (LP)", 0.75, lp.objective, exact),
         _close("LP recovers the half-half classifier (max error)", 0.0, lp_probs_err, exact),
         _holds(
             "half-half classifier beats the deterministic optimum",
-            u > det.objective,
+            rep.utility > det.objective,
             f"> {_fmt(det.objective)}",
-            _fmt(u),
+            _fmt(rep.utility),
         ),
         _holds("half-half classifier is unstable", not eq, "false", str(eq).lower()),
         _close("best unilateral improvement", 0.25, dev.gain, exact),
@@ -238,8 +234,7 @@ def verify_noise_example(tol: float | None = None) -> list[Check]:
     with _quiet():
         q = effective_acceptance(clf, kernel)
         br = noisy_best_response(clf, kernel, cost)
-        u = noisy_utility(clf, pop, kernel, cost)
-        e = noisy_efficiency(clf, pop, kernel, cost)
+        rep = subpop_accuracies(clf, _single(pop, cost, kernel))
         accept_all = Classifier.constant(pop.space, 1.0)
         u_all = noisy_utility(accept_all, pop, kernel, cost)
     q_err = float(np.max(np.abs(q - np.array([0.5, 1.0]))))
@@ -251,8 +246,8 @@ def verify_noise_example(tol: float | None = None) -> list[Check]:
             "0 moves",
             f"{int(br.moved.sum())} moves",
         ),
-        _close("accuracy through the channel", 0.75, u, exact),
-        _close("efficiency through the channel", 0.75, e, exact),
+        _close("accuracy through the channel", 0.75, rep.utility, exact),
+        _close("efficiency through the channel", 0.75, rep.efficiency, exact),
         _close("accept-everyone baseline accuracy", 0.5, u_all, exact),
     ]
 
@@ -419,8 +414,7 @@ def verify_fair_noisy(tol: float | None = None) -> list[Check]:
         ]
         sub = subpop_accuracies(clf, scen)
         closed = noisy_fair_utility(inst)
-        sweep = threshold_sweep(scen)
-    best = max(sweep, key=lambda p: p.utility)
+        best = solve_deterministic_noisy(scen)
     return [
         _holds(
             "no contestant in either group moves",

@@ -30,6 +30,7 @@ from .model import (
     Population,
     SubpopulationScenario,
     ValidationError,
+    _single,
     shift_cost,
 )
 
@@ -127,16 +128,8 @@ class LoadedScenario:
     discretized: DiscretizedInstance | None = None
 
     @property
-    def space(self) -> FeatureSpace:
-        return self.scenario.space
-
-    @property
     def k(self) -> int:
         return self.scenario.k
-
-    @property
-    def single(self) -> bool:
-        return self.scenario.k == 1
 
 
 def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFunction:
@@ -314,9 +307,7 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
             raise doc.fail(("subpopulations",), str(e)) from e
     else:
         cost = _build_cost(doc, doc.require(top, (), "cost"), ("cost",), space)
-        scen = SubpopulationScenario(
-            pop=pop, shares=np.array([1.0]), cost_fns=(cost,), kernel=kernel
-        )
+        scen = _single(pop, cost, kernel)
 
     clf = None
     if "classifier" in top:

@@ -16,15 +16,14 @@ Four solvers, in increasing generality:
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix
 
-from .game import KNIFE_EDGE_ATOL, _accuracy, _strategy_cost, _target_indices, efficiency, utility
-from .model import Classifier, CostFunction, Population
+from .game import _target_indices, efficiency
+from .model import Classifier, CostFunction, Population, SolveReport, _require_same_space, _single
+from .noise import solve_deterministic_noisy
 
 __all__ = [
     "SolveReport",
@@ -42,59 +41,16 @@ ORACLE_MAX_POINTS = 5
 ORACLE_MAX_RESOLUTION = 21
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
-    """A solver's winner plus enough context to reproduce it."""
-
-    classifier: Classifier
-    objective: float
-    method: str
-    tau: float | None = None
-    strict: bool | None = None
-    details: dict[str, Any] | None = None
-
-
-def _threshold_candidates(n: int):
-    """Every acceptance set a threshold can produce: suffixes of the grid.
-
-    Yields (start index, strict flag used to realise it canonically); the
-    all-reject set comes from a strict threshold at the top point.
-    """
-    for start in range(n):
-        yield start, False
-    yield n, True
-
-
 def solve_deterministic(pop: Population, c: CostFunction) -> SolveReport:
     """Utility-maximising threshold classifier, found by enumeration.
 
     On a monotone population some threshold is utility-optimal among all
     deterministic classifiers.  Ties prefer the lowest threshold (the most
-    permissive acceptance set), scanned bottom-up.
+    permissive acceptance set), scanned bottom-up.  This is the one-group,
+    noiseless :func:`solve_deterministic_noisy`, so an interior cut at index k
+    is labelled ``(points[k - 1], strict=True)``, like the sweep.
     """
-    space = pop.space
-    if not space.matches(c.space):
-        raise ValueError("population and cost function live on different grids")
-    n = space.n
-    best: tuple[float, int, bool] | None = None
-    for start, strict in _threshold_candidates(n):
-        probs = np.zeros(n)
-        probs[start:] = 1.0
-        target = _target_indices(probs, c.costs)
-        u = _accuracy(pop.pi, pop.h, probs[target])
-        if best is None or u > best[0]:
-            best = (u, start, strict)
-    u, start, strict = best
-    if start == n:
-        tau = float(space.points[-1])
-        clf = Classifier.threshold(space, tau, strict=True)
-    else:
-        tau = float(space.points[start])
-        clf = Classifier.threshold(space, tau, strict=False)
-        strict = False
-    return SolveReport(
-        classifier=clf, objective=u, method="enumeration", tau=tau, strict=strict
-    )
+    return solve_deterministic_noisy(_single(pop, c))
 
 
 def project_lipschitz(f: Classifier, c: CostFunction) -> Classifier:
@@ -104,8 +60,7 @@ def project_lipschitz(f: Classifier, c: CostFunction) -> Classifier:
     and at beta = 1 its efficiency is at least that of ``f``.  Applying the
     projection twice returns the same classifier.
     """
-    if not f.space.matches(c.space):
-        raise ValueError("classifier and cost function live on different grids")
+    _require_same_space(f, c)
     g = (f.probs[None, :] - c.costs).max(axis=1)
     np.clip(g, 0.0, 1.0, out=g)
     return Classifier(f.space, g)
@@ -156,9 +111,7 @@ def solve_efficiency_lp(
     """
     if beta != 1.0:
         raise ValueError("the LP reduction is only valid at beta = 1; use grid_oracle")
-    space = pop.space
-    if not space.matches(c.space):
-        raise ValueError("population and cost function live on different grids")
+    space = _require_same_space(pop, c)
     n = space.n
     if n > LP_MAX_POINTS:
         raise ValueError(f"LP solver is capped at {LP_MAX_POINTS} grid points (got {n})")
@@ -228,9 +181,7 @@ def grid_oracle(
     is the ground truth the clever solvers are tested against.  Guarded to
     desk scale.
     """
-    space = pop.space
-    if not space.matches(c.space):
-        raise ValueError("population and cost function live on different grids")
+    space = _require_same_space(pop, c)
     n = space.n
     if n > ORACLE_MAX_POINTS:
         raise ValueError(f"oracle is capped at {ORACLE_MAX_POINTS} grid points (got {n})")
@@ -261,16 +212,7 @@ def grid_oracle(
     best_val = -np.inf
     best_probs: np.ndarray | None = None
     for probs in batches():
-        # Batched best response: gains[b, i, j] = probs[b, j] - probs[b, i].
-        # Same banded comparison as _target_indices, element for element.
-        gains = probs[:, None, :] - probs[:, :, None]
-        mask = gains > costs[None, :, :] + KNIFE_EDGE_ATOL
-        mask[:, idx, idx] = False
-        cand = np.where(mask, probs[:, None, :], -np.inf)
-        bestq = np.maximum(probs, cand.max(axis=2))
-        attain = cand == bestq[:, :, None]
-        attain[:, idx, idx] |= probs == bestq
-        target = attain.argmax(axis=2)
+        target = _target_indices(probs, costs)
         accepted = np.take_along_axis(probs, target, axis=1)
         u = accepted @ (pi * (2.0 * h - 1.0)) + np.dot(pi, 1.0 - h)
         k = costs[idx[None, :], target] @ (pi * h)

@@ -211,6 +211,11 @@ class TestSolve:
         assert rc == 0
         assert out == "tau=-1\nstrict=false\nE=0.5\n"
 
+    def test_efficiency_deterministic_noisy(self, files, capsys):
+        rc, out, _ = run(capsys, "solve", files["s3"], "--objective", "efficiency", "--mode", "deterministic")
+        assert rc == 0
+        assert out == "tau=1\nstrict=true\nE=0.75\n"
+
 
 class TestSweep:
     def test_single_group_empty_cells(self, files, capsys):
