@@ -5,9 +5,12 @@ then moves to whichever point maximises acceptance probability net of the
 manipulation cost, staying put unless a move is a strict improvement.  The
 institution's utility is the accuracy it collects after everyone has moved,
 and the cost of strategy is the manipulation spend of the qualified mass.
-``_target_indices`` is the one generic best response and
-:func:`subpop_accuracies` the one payoff computation; every other payoff, here
-and in :mod:`stratclass.noise`, evaluates a one-group scenario with it.
+``_target_indices`` is the one best response and :func:`subpop_accuracies`
+the one payoff computation; every other payoff, here and in
+:mod:`stratclass.noise`, evaluates a one-group scenario with it.  For a
+separable cost, as :func:`~stratclass.model.shift_cost` builds, the best
+response certifies in O(n) which contestants cannot move upward and decides
+only the rest on the generic comparison, with the same targets and warnings.
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class BestResponse:
             object.__setattr__(self, name, arr)
 
 
-def _target_indices(values: np.ndarray, costs: np.ndarray) -> np.ndarray:
+def _target_indices(
+    values: np.ndarray, costs: np.ndarray, a: np.ndarray | None = None
+) -> np.ndarray:
     """Best-response targets for acceptance values ``values`` and cost matrix.
 
     A move i -> j is available iff values[j] - values[i] exceeds
@@ -75,22 +80,48 @@ def _target_indices(values: np.ndarray, costs: np.ndarray) -> np.ndarray:
     ulp, which would turn cost-free sideways moves into phantom strict
     improvements.  So the comparison demands a margin no wider than the
     knife-edge band already flagged as untrustworthy; within the band the
-    contestant stays and a KnifeEdgeWarning fires.  Among available moves
-    (plus staying put) the contestant picks the highest value; ties go to
-    the smallest grid index.  Because costs are nonnegative, any available
-    move strictly beats staying, so the stay option only wins when no move
-    is available.  ``values`` may also be a batch of shape ``(..., n)``.
-    """
-    q = values
-    idx = np.arange(q.shape[-1])
-    gains = q[..., None, :] - q[..., :, None]
-    mask = gains > costs + KNIFE_EDGE_ATOL
-    mask[..., idx, idx] = False
+    contestant stays and a KnifeEdgeWarning fires, naming the first such
+    pair in row-major order.  Among available moves (plus staying put) the
+    contestant picks the highest value; ties go to the smallest grid index.
+    Because costs are nonnegative, any available move strictly beats
+    staying, so the stay option only wins when no move is available.
+    ``values`` may also be a batch of shape ``(..., n)``.
 
-    near = (gains > 0) & (np.abs(gains - costs) < KNIFE_EDGE_ATOL)
-    near[..., idx, idx] = False
-    if np.any(near):
-        i, j = [int(v[0]) for v in np.nonzero(near)[-2:]]
+    ``a`` is the vector of a separable cost, costs[i, j] = max(a[j] - a[i],
+    0) as :func:`~stratclass.model.shift_cost` builds it.  For 1-D values
+    it shrinks each row's candidates in O(n), and every move that remains
+    is still decided on the comparison above, with the same tie-break:
+
+    - Downward (j < i).  These costs are exact zeros, and q[j] - q[i]
+      rounds monotonically in q[j], so only the first maximum of q[:i] can
+      win, and it is available iff the comparison holds there.
+    - Upward (j > i).  With key = q - a, a pair that is available or
+      knife-edge has exact gain minus cost above -KNIFE_EDGE_ATOL, less the
+      rounding of the comparison.  Let u = eps/2, A = max|a|, Q = max|q|;
+      each float sum or difference errs by at most u times its magnitude.
+      The gain q[j] - q[i] and the cost a[j] - a[i] are then off by at
+      most 2uQ and 2uA, the comparison adds at most u(costs[i, j] +
+      2 KNIFE_EDGE_ATOL) <= u(2A(1 + u) + 2 KNIFE_EDGE_ATOL), and the two
+      keys at most 2u(Q + A).  So such a pair has key[j] - key[i] >
+      -KNIFE_EDGE_ATOL - u(6A + 4Q + 2 KNIFE_EDGE_ATOL), up to terms in
+      u**2.  The row's float floor, key[i] - KNIFE_EDGE_ATOL - m, lies
+      within u(2Q + 2A + 2 KNIFE_EDGE_ATOL + m) of its exact value, and
+      m = 8 eps (1 + A + Q) = 16u(1 + A + Q) exceeds the sum of both
+      errors, u(8A + 6Q + 4 KNIFE_EDGE_ATOL), with room to spare.  So a
+      row whose later keys all lie below its floor has no upward
+      candidate; the other rows (none, when nobody moves) compare against
+      the columns whose key reaches the lowest of their floors.
+
+    Knife-edge pairs need a positive gain, so they sit in the rows that
+    have a larger value earlier (searched in blocks of rows, stopping at the
+    first hit) or in the upward block.
+    """
+    if a is not None and values.ndim == 1:
+        target, edge = _separable_targets(values, costs, a)
+    else:
+        target, edge = _generic_targets(values, costs)
+    if edge is not None:
+        i, j = edge
         warnings.warn(
             f"gain ties cost to within {KNIFE_EDGE_ATOL:g} for move {i} -> {j}; "
             "contestants inside this band stay put, but the outcome is "
@@ -98,13 +129,89 @@ def _target_indices(values: np.ndarray, costs: np.ndarray) -> np.ndarray:
             KnifeEdgeWarning,
             stacklevel=3,
         )
+    return target
+
+
+def _generic_targets(
+    q: np.ndarray, costs: np.ndarray
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Targets and first knife-edge pair, comparing every pair of points."""
+    idx = np.arange(q.shape[-1])
+    gains = q[..., None, :] - q[..., :, None]
+    mask = gains > costs + KNIFE_EDGE_ATOL
+    mask[..., idx, idx] = False
+
+    near = (gains > 0) & (np.abs(gains - costs) < KNIFE_EDGE_ATOL)
+    near[..., idx, idx] = False
+    edge = None
+    if np.any(near):
+        edge = tuple(int(v[0]) for v in np.nonzero(near)[-2:])
 
     cand = np.where(mask, q[..., None, :], -np.inf)
     best = cand.max(axis=-1)
     top = np.maximum(q, best)
     attain = cand == top[..., None]
     attain[..., idx, idx] |= q == top
-    return attain.argmax(axis=-1)
+    return attain.argmax(axis=-1), edge
+
+
+def _separable_targets(
+    q: np.ndarray, costs: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Targets and first knife-edge pair for costs built from ``a``.
+
+    The candidate reductions and their rounding margin are derived in
+    :func:`_target_indices`.
+    """
+    n = q.size
+    idx = np.arange(n)
+    # below[i] = max(q[:i]), first attained at index at[i]
+    run = np.maximum.accumulate(q)
+    below = np.concatenate(([-np.inf], run[:-1]))
+    rises = np.concatenate(([True], q[1:] > run[:-1]))
+    at = np.concatenate(([0], np.maximum.accumulate(np.where(rises, idx, 0))[:-1]))
+    down = below - q > 0.0 + KNIFE_EDGE_ATOL
+    target = np.where(down, at, idx)
+
+    key = q - a
+    above = np.maximum.accumulate(key[::-1])[::-1][1:]  # max(key[i+1:])
+    margin = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a).max() + np.abs(q).max())
+    floor = key - KNIFE_EDGE_ATOL - margin
+    rows = np.flatnonzero(above >= floor[:-1])
+
+    edge = None
+    if rows.size:
+        cols = np.flatnonzero((key >= floor[rows].min()) & (idx > rows[0]))
+        gains = q[cols] - q[rows, None]
+        c = costs[rows[:, None], cols]
+        upward = cols > rows[:, None]
+        cand = np.where(upward & (gains > c + KNIFE_EDGE_ATOL), q[cols], -np.inf)
+        best = cand.max(axis=1)
+        # an equal downward value has the smaller index
+        wins = best > np.where(down[rows], below[rows], -np.inf)
+        pick = cols[(cand == best[:, None]).argmax(axis=1)]
+        target[rows[wins]] = pick[wins]
+        near = upward & (gains > 0) & (np.abs(gains - c) < KNIFE_EDGE_ATOL)
+        if np.any(near):
+            r, k = [int(v[0]) for v in np.nonzero(near)]
+            edge = (int(rows[r]), int(cols[k]))
+
+    # within one row a downward pair precedes every upward one
+    flagged = np.flatnonzero(below > q)
+    if edge is not None:
+        flagged = flagged[flagged <= edge[0]]
+    # blocks double in size: an early hit is cheap, a full scan takes log n
+    s, size = 0, 1
+    while s < flagged.size:
+        block = flagged[s : s + size]
+        s, size = s + size, 2 * size
+        gains = q[: block[-1]] - q[block, None]
+        # the costs here are exact zeros, so |gains - costs| is gains
+        hit = (idx[: block[-1]] < block[:, None]) & (gains > 0) & (gains < KNIFE_EDGE_ATOL)
+        if np.any(hit):
+            r, j = [int(v[0]) for v in np.nonzero(hit)]
+            return target, (int(block[r]), j)
+    return target, edge
 
 
 def _check_noisy_classifier(
@@ -138,7 +245,7 @@ def _respond(
     """Strict-improvement moves against the effective acceptance curve."""
     _check_noisy_classifier(f, kernel, allow_randomized)
     _require_same_space(f, c)
-    target = _target_indices(effective_acceptance(f, kernel), c.costs)
+    target = _target_indices(effective_acceptance(f, kernel), c.costs, c._a)
     return BestResponse(target=target, moved=target != np.arange(f.space.n))
 
 
@@ -207,7 +314,7 @@ def subpop_accuracies(
     _check_noisy_classifier(f, scenario.kernel, allow_randomized)
     _require_same_space(scenario.pop, f)
     q = effective_acceptance(f, scenario.kernel)
-    targets = [_target_indices(q, fn.costs) for fn in scenario.cost_fns]
+    targets = [_target_indices(q, fn.costs, fn._a) for fn in scenario.cost_fns]
     return _subpop_report(scenario, q, targets)
 
 

@@ -246,6 +246,9 @@ class CostFunction:
 
     space: FeatureSpace
     costs: np.ndarray
+    # The nondecreasing a with costs[i, j] = max(a[j] - a[i], 0), set only by
+    # shift_cost; the best response uses it to rule out moves in O(n).
+    _a: np.ndarray | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         c = np.array(self.costs, dtype=float)
@@ -258,7 +261,7 @@ class CostFunction:
             i, j = np.unravel_index(np.argmin(c), c.shape)
             raise ValidationError(f"costs: negative entry at ({i}, {j})")
         lower = np.tril(np.ones((n, n), dtype=bool))
-        bad = lower & (np.abs(c) > COST_ATOL)
+        bad = lower & (c > COST_ATOL)  # no entry lies below -COST_ATOL now
         if np.any(bad):
             i, j = [int(v[0]) for v in np.nonzero(bad)]
             raise ValidationError(
@@ -281,17 +284,21 @@ def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
     """Cost family ``c(x, x') = max(a(x') - a(x), 0)`` for nondecreasing a.
 
     Every member is simple; the linear family used with Gaussian models is
-    the special case ``a(x) = x / (sqrt(2 pi) sigma)``.
+    the special case ``a(x) = x / (sqrt(2 pi) sigma)``.  The result keeps
+    ``a`` so best responses can use the separable form.
     """
-    arr = np.asarray(a, dtype=float)
+    arr = np.array(a, dtype=float)
     if arr.shape != (space.n,):
         raise ValidationError(f"a: expected {space.n} entries, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("a: entries must be finite")
     if arr.size > 1 and np.any(np.diff(arr) < 0):
         raise ValidationError("a: must be nondecreasing")
-    costs = np.maximum(arr[None, :] - arr[:, None], 0.0)
-    return CostFunction(space, costs)
+    arr.flags.writeable = False
+    rise = arr[None, :] - arr[:, None]
+    cost = CostFunction(space, np.maximum(rise, 0.0, out=rise))
+    object.__setattr__(cost, "_a", arr)
+    return cost
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,8 +385,11 @@ class NoiseKernel:
         if sigma == 0:
             return cls.identity(space)
         edges = _cell_edges(space.points)
-        z = (edges[None, :] - space.points[:, None]) / sigma
-        cdf = np.where(np.isneginf(z), 0.0, np.where(np.isposinf(z), 1.0, ndtr(z)))
+        z = edges[None, :] - space.points[:, None]
+        z /= sigma
+        # in place, to keep one n x n temporary; ndtr(-inf) and ndtr(inf)
+        # are exactly 0 and 1, so the open outer cells close exactly
+        cdf = ndtr(z, out=z)
         return cls(space, np.diff(cdf, axis=1))
 
 

@@ -157,7 +157,9 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
         probs[start:] = 1.0
         q = probs if kernel is None else kernel.rows @ probs
         targets = [
-            _fast_threshold_targets(fn.costs, start) if fast else _target_indices(q, fn.costs)
+            _fast_threshold_targets(fn.costs, start)
+            if fast
+            else _target_indices(q, fn.costs, fn._a)
             for fast, fn in zip(fast_ok, scenario.cost_fns)
         ]
         rep = _subpop_report(scenario, q, targets)
@@ -190,7 +192,13 @@ def solve_deterministic_noisy(
     """
     if objective not in ("utility", "efficiency"):
         raise ValueError(f"objective must be 'utility' or 'efficiency', got {objective!r}")
-    points = threshold_sweep(scenario)
+    return _best_threshold(scenario, threshold_sweep(scenario), objective)
+
+
+def _best_threshold(
+    scenario: SubpopulationScenario, points: tuple[SweepPoint, ...], objective: str
+) -> SolveReport:
+    """The scan of :func:`solve_deterministic_noisy` over a sweep in hand."""
     best = points[0]
     for p in points[1:]:
         if getattr(p, objective) > getattr(best, objective):

@@ -35,6 +35,7 @@ from .model import (
     is_lipschitz,
 )
 from .noise import (
+    _best_threshold,
     effective_acceptance,
     noisy_best_response,
     noisy_utility,
@@ -354,8 +355,8 @@ def verify_unfair_threshold(tol: float | None = None) -> list[Check]:
     budget = tol if tol is not None else disc.tolerance
     with _quiet():
         tau_closed = noiseless_optimal_tau(inst)
-        report = solve_deterministic_noisy(disc.scenario)
         sweep = threshold_sweep(disc.scenario)
+        report = _best_threshold(disc.scenario, sweep, "utility")
     sub = report.details["report"]
     u_a, u_b = sub.utilities
     taus = np.array([p.tau for p in sweep])

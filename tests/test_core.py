@@ -1,14 +1,17 @@
 """The evaluation core: one best response, one payoff path, one threshold scan.
 
 A pure-Python best response written from the ``_target_indices`` docstring
-is the reference every fast path is checked against; the payoff wrappers
-must all reject objects on another grid; the threshold scan serves both
-objectives; and imports run one way, so no module imports inside a function.
+is the reference every fast path is checked against; the separable-cost
+path must also repeat the generic path's knife-edge warning word for word.
+The payoff wrappers must all reject objects on another grid; the threshold
+scan serves both objectives; and imports run one way, so no module imports
+inside a function.
 """
 
 from __future__ import annotations
 
 import ast
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -23,13 +26,17 @@ from stratclass import (
     Classifier,
     CostFunction,
     FeatureSpace,
+    GaussianInstance,
     KnifeEdgeWarning,
     Population,
     SubpopulationScenario,
+    discretize_instance,
     efficiency,
     noisy_efficiency,
     noisy_strategy_cost,
     noisy_utility,
+    parse_scenario,
+    shift_cost,
     solve_deterministic_noisy,
     strategy_cost,
     subpop_accuracies,
@@ -159,6 +166,126 @@ class TestFastThresholdPath:
             fast = _fast_threshold_targets(costs, start)
             assert fast.tolist() == _quiet_targets(probs, costs).tolist()
             assert fast.tolist() == reference_targets(probs, costs)
+
+
+# ------------------------------------------------------- separable costs
+
+
+def _recorded(call, *args):
+    """``call(*args)`` and the messages of every KnifeEdgeWarning it raised."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = call(*args)
+    return out, [str(w.message) for w in caught if w.category is KnifeEdgeWarning]
+
+
+def _ramp(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Nondecreasing a with flat stretches, where upward moves are free."""
+    steps = rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.6)
+    return np.cumsum(steps) + rng.uniform(-2.0, 2.0)
+
+
+def _separable_values(rng: np.random.Generator, space: FeatureSpace, a: np.ndarray):
+    """Acceptance values with ties, ulp wobble, and gains on the knife edge."""
+    n = space.n
+    kind = rng.integers(3)
+    if kind == 0:
+        q = _values(rng, n)
+    else:
+        # a noisy suffix classifier saturates with one-ulp wobble
+        probs = np.zeros(n)
+        probs[rng.integers(n + 1) :] = 1.0
+        q = random_kernel(rng, space).rows @ probs
+    if kind == 2 or rng.random() < 0.5:
+        for _ in range(3):
+            i, j = sorted(int(v) for v in rng.integers(n, size=2))
+            if j > i:
+                offset = float(rng.choice([0.0, 0.5, -0.5, 2.0, -2.0])) * KNIFE_EDGE_ATOL
+                q[j] = q[i] + (a[j] - a[i]) + offset
+    return q
+
+
+class TestSeparableBestResponse:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference_and_generic_path(self, seed, n):
+        rng = np.random.default_rng(seed)
+        space = FeatureSpace(np.arange(n, dtype=float))
+        a = _ramp(rng, n)
+        c = shift_cost(space, a)
+        q = _separable_values(rng, space, a)
+        got, got_warned = _recorded(_target_indices, q, c.costs, c._a)
+        tabular = CostFunction(space, c.costs)
+        assert tabular._a is None
+        generic, generic_warned = _recorded(_target_indices, q, tabular.costs, tabular._a)
+        assert got.tolist() == reference_targets(q, c.costs)
+        assert got.tolist() == generic.tolist()
+        assert got_warned == generic_warned
+
+    def test_saturated_wobble_warns_on_the_first_pair(self):
+        # values equal up to an ulp: a downward pair is the first knife edge
+        space = FeatureSpace([0.0, 1.0, 2.0, 3.0])
+        c = shift_cost(space, [0.0, 0.0, 1.0, 1.0])
+        one_less = np.nextafter(1.0, 0.0)
+        q = np.array([0.2, 1.0, one_less, 1.0])
+        got, warned = _recorded(_target_indices, q, c.costs, c._a)
+        assert got.tolist() == [1, 1, 2, 3]
+        assert len(warned) == 1 and "move 2 -> 1" in warned[0]
+
+
+def _sweep_fields(points):
+    return [dataclasses.astuple(p) for p in points]
+
+
+@pytest.mark.parametrize("sigma", [0.3, 1.0])
+def test_sweep_matches_tabular_costs(sigma):
+    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=sigma)
+    scen = discretize_instance(inst, n=201).scenario
+    assert all(fn._a is not None for fn in scen.cost_fns)
+    tabular = dataclasses.replace(
+        scen, cost_fns=tuple(CostFunction(scen.space, fn.costs) for fn in scen.cost_fns)
+    )
+    assert all(fn._a is None for fn in tabular.cost_fns)
+    got, got_warned = _recorded(threshold_sweep, scen)
+    want, want_warned = _recorded(threshold_sweep, tabular)
+    assert _sweep_fields(got) == _sweep_fields(want)
+    assert got_warned == want_warned
+    solved, _ = _recorded(solve_deterministic_noisy, scen)
+    expected, _ = _recorded(solve_deterministic_noisy, tabular)
+    assert (solved.tau, solved.strict) == (expected.tau, expected.strict)
+    assert solved.objective == expected.objective
+
+
+_SHIFT_KINDS = {
+    "shift": "kind: shift\n  a: [0.0, 0.5, 1.5]",
+    "linear": "kind: linear\n  sigma: 0.5",
+    "tabular": "kind: tabular\n  matrix: [[0, 0.5, 1.5], [0, 0, 1.0], [0, 0, 0]]",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_SHIFT_KINDS))
+def test_scenario_cost_kinds_keep_a_only_when_separable(kind):
+    text = (
+        "features: [-1.0, 0.0, 1.0]\npi: [0.25, 0.5, 0.25]\nh: [0.2, 0.5, 0.8]\n"
+        f"cost:\n  {_SHIFT_KINDS[kind]}\n"
+    )
+    (fn,) = parse_scenario(text).scenario.cost_fns
+    assert (fn._a is not None) == (kind != "tabular")
+    if fn._a is not None:
+        assert np.array_equal(fn.costs, np.maximum(fn._a[None, :] - fn._a[:, None], 0.0))
+
+
+def test_only_shift_cost_keeps_a():
+    space = FeatureSpace([0.0, 1.0, 2.0])
+    a = np.array([0.0, 0.25, 1.0])
+    c = shift_cost(space, a)
+    assert np.array_equal(c._a, a) and c._a is not a
+    assert not c._a.flags.writeable and a.flags.writeable
+    assert "_a" not in repr(c)
+    assert dataclasses.replace(c)._a is None
+    assert dataclasses.replace(c, costs=c.costs * 2.0)._a is None
+    assert CostFunction(space, c.costs)._a is None
+    assert random_simple_cost(np.random.default_rng(0), space)._a is None
 
 
 # ------------------------------------------------------------ grid checks
