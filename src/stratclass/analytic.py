@@ -30,6 +30,7 @@ from .model import (
     Population,
     SubpopulationScenario,
     ValidationError,
+    _cell_edges,
     shift_cost,
 )
 
@@ -48,6 +49,13 @@ __all__ = [
 ]
 
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
+
+# Points of the coarse sweep that checks the optimum's bracket is unimodal.
+_UNIMODALITY_SWEEP_POINTS = 512
+
+# Bytes the n x n matrices of a discretized instance (two group costs, plus the
+# kernel when noisy) may take: n = 6401 with noise (0.98 GB) fits, 20001 does not.
+DENSE_BYTES_LIMIT = 2 * 2**30
 
 
 class RegimeWarning(UserWarning):
@@ -163,7 +171,7 @@ def _golden_section_max(fun, lo: float, hi: float, xatol: float) -> float:
     return (a + b) / 2.0
 
 
-def noiseless_optimal_tau(inst: GaussianInstance, sweep_points: int = 512) -> float:
+def noiseless_optimal_tau(inst: GaussianInstance) -> float:
     """Accuracy-maximising noiseless threshold.
 
     The optimum lies strictly between the two group peaks (the overall
@@ -189,7 +197,7 @@ def noiseless_optimal_tau(inst: GaussianInstance, sweep_points: int = 512) -> fl
     if inst.s_a == inst.s_b:
         return (peak_a + peak_b) / 2.0
     lo, hi = min(peak_a, peak_b), max(peak_a, peak_b)
-    grid = np.linspace(lo, hi, sweep_points)
+    grid = np.linspace(lo, hi, _UNIMODALITY_SWEEP_POINTS)
     vals = noiseless_overall_utility(grid, inst)
     interior_max = (vals[1:-1] > vals[:-2]) & (vals[1:-1] > vals[2:])
     if int(interior_max.sum()) > 1:
@@ -289,22 +297,25 @@ def discretize_instance(
     (wide enough that the truncated tail mass is negligible), contains 0
     exactly, and discretizes the feature density by integrating it over the
     cells between neighbouring midpoints.  Group costs use the linear family
-    and the kernel integrates the observation noise the same way.
+    and the kernel integrates the observation noise the same way.  Sizes
+    whose dense matrices would exceed ``DENSE_BYTES_LIMIT`` are refused
+    before anything is allocated.
     """
     if n < 201 or n % 2 == 0:
         raise ValidationError("n: need an odd grid size of at least 201")
+    dense_bytes = 8 * n * n * (3 if inst.sigma > 0 else 2)
+    if dense_bytes > DENSE_BYTES_LIMIT:
+        raise ValidationError(
+            f"n: {n} points need {dense_bytes / 1e9:.2f} GB of dense matrices; "
+            f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
+        )
     if grid_halfwidth_mult <= 0:
         raise ValidationError("grid_halfwidth_mult: must be positive")
     half_width = grid_halfwidth_mult * math.hypot(inst.t, inst.sigma)
     points = _symmetric_grid(half_width, n)
     space = FeatureSpace(points)
 
-    mids = (points[1:] + points[:-1]) / 2.0
-    edges = np.concatenate(([-np.inf], mids, [np.inf]))
-    z = np.where(np.isneginf(edges), 0.0, np.where(np.isposinf(edges), 1.0, 0.0))
-    finite = np.isfinite(edges)
-    z[finite] = ndtr(edges[finite] / inst.t)
-    pi = np.diff(z)
+    pi = np.diff(ndtr(_cell_edges(points) / inst.t))
     pi = pi / pi.sum()
     h = np.clip(points / (2.0 * inst.d) + 0.5, 0.0, 1.0)
     pop = Population(space, pi, h)

@@ -30,11 +30,10 @@ from typing import Any, Callable, Iterable, TextIO
 
 import numpy as np
 
-from .model import Classifier, NoiseKernel, SubpopulationScenario, ValidationError
-from .analytic import discretize_instance
+from .model import Classifier, SubpopulationScenario, ValidationError
 from .noise import solve_deterministic_noisy, subpop_accuracies
-from .reproduce import Check, ReproduceResult, run_reproduce
-from .scenario import LoadedScenario, ScenarioError, load_scenario
+from .reproduce import ReproduceResult, run_reproduce
+from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
 from .solvers import solve_efficiency_lp
 
 __all__ = ["main"]
@@ -189,65 +188,26 @@ def _parse_range(text: str) -> np.ndarray:
     return np.linspace(lo, hi, steps)
 
 
-def _file_threshold_strict(loaded: LoadedScenario) -> bool:
-    """Strict flag for rebuilt thresholds: honour the file, else its default."""
-    sec = loaded.source.get("classifier")
-    if isinstance(sec, dict) and sec.get("kind") == "threshold":
-        strict = sec.get("strict", False)
-        if isinstance(strict, bool):
-            return strict
-    # a gaussian_instance without a classifier section defaults to a strict
-    # zero cut, so sweeps started from that default stay consistent with it
-    return loaded.instance is not None and "classifier" not in loaded.source
-
-
 def _sweep_worker(
     loaded: LoadedScenario, param: str
 ) -> Callable[[float], tuple[SubpopulationScenario, Classifier]]:
     """Build the value -> (scenario, classifier) map for one sweep parameter."""
     scen = loaded.scenario
-    src = loaded.source
 
     if param == "tau":
-        strict = _file_threshold_strict(loaded)
+        strict = loaded.threshold is not None and loaded.threshold[1]
         return lambda v: (scen, Classifier.threshold(scen.space, float(v), strict=strict))
 
     if param == "sigma":
-        if loaded.instance is not None:
-            clf_sec = src.get("classifier")
-            if isinstance(clf_sec, dict) and clf_sec.get("kind") == "table":
-                raise CliError(
-                    "a table classifier is tied to one grid; sigma sweeps on a "
-                    "gaussian_instance rebuild the grid, so use a threshold classifier"
-                )
-            strict = _file_threshold_strict(loaded)
-            tau = 0.0
-            if isinstance(clf_sec, dict) and clf_sec.get("kind") == "threshold":
-                tau = float(clf_sec["tau"])
-            inst_sec = src["gaussian_instance"]
-            n = inst_sec.get("n", 401)
-            mult = float(inst_sec.get("grid_halfwidth_mult", 8.0))
-
-            def build_inst(v: float):
-                inst = dataclasses.replace(loaded.instance, sigma=float(v))
-                disc = discretize_instance(inst, n=n, grid_halfwidth_mult=mult)
-                clf = Classifier.threshold(disc.scenario.space, tau, strict=strict)
-                return disc.scenario, clf
-
-            return build_inst
-
-        noise_sec = src.get("noise")
-        if isinstance(noise_sec, dict) and noise_sec.get("kind") == "tabular":
-            raise CliError("a tabular noise kernel has no sigma; use gaussian noise")
+        if loaded.instance is not None and loaded.threshold is None:
+            raise CliError(
+                "a table classifier is tied to one grid; sigma sweeps on a "
+                "gaussian_instance rebuild the grid, so use a threshold classifier"
+            )
+        rebuild = noise_rebuilder(loaded)
         if loaded.classifier is None:
             raise CliError("the scenario file needs a classifier section to sweep")
-        clf = loaded.classifier
-
-        def build_noise(v: float):
-            kernel = None if v == 0 else NoiseKernel.gaussian(scen.space, float(v))
-            return dataclasses.replace(scen, kernel=kernel), clf
-
-        return build_noise
+        return rebuild
 
     # s_A: reweight the first two subpopulations
     if loaded.k != 2:
@@ -305,10 +265,6 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
 # -------------------------------------------------------------- reproduce
 
 
-def _check_value(value: Any) -> Any:
-    return value if isinstance(value, str) else float(value)
-
-
 def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
     if fmt == "json":
         payload = {
@@ -317,8 +273,8 @@ def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
             "checks": [
                 {
                     "name": c.name,
-                    "expected": _jsonable(_check_value(c.expected)),
-                    "actual": _jsonable(_check_value(c.actual)),
+                    "expected": _jsonable(c.expected),
+                    "actual": _jsonable(c.actual),
                     "passed": c.passed,
                 }
                 for c in result.checks
@@ -331,14 +287,14 @@ def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
         for c in result.checks:
             _write_csv_row(
                 out,
-                (c.name, _cell(_check_value(c.expected)), _cell(_check_value(c.actual)), _cell(c.passed)),
+                (c.name, _cell(c.expected), _cell(c.actual), _cell(c.passed)),
             )
         return
     for c in result.checks:
         verdict = "pass" if c.passed else "FAIL"
         out.write(
-            f"{verdict} {c.name}: expected {_cell(_check_value(c.expected))}"
-            f" actual {_cell(_check_value(c.actual))}\n"
+            f"{verdict} {c.name}: expected {_cell(c.expected)}"
+            f" actual {_cell(c.actual)}\n"
         )
     good = sum(1 for c in result.checks if c.passed)
     verdict = "pass" if result.passed else "FAIL"
@@ -423,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(folded)
     try:
         return args.func(args, sys.stdout)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except (ScenarioError, ValidationError, OSError) as e:
+    except (CliError, ScenarioError, ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

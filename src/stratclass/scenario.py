@@ -9,19 +9,23 @@ loudly.  Parse and validation failures carry the source line when the
 document provides one.
 
 The loader keeps the parsed document alongside the built objects, so a
-scenario can be serialized back out and reloaded to identical values.
+scenario can be serialized back out and reloaded to identical values, and
+rebuilt at another noise level (``noise_rebuilder``).  This is the only
+module that reads a scenario document.
 """
 
 from __future__ import annotations
 
+import dataclasses
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 import numpy as np
 import yaml
 
-from .analytic import DiscretizedInstance, GaussianInstance, discretize_instance
+from .analytic import _ROOT_2PI, DiscretizedInstance, GaussianInstance, discretize_instance
 from .model import (
     Classifier,
     CostFunction,
@@ -40,12 +44,10 @@ __all__ = [
     "parse_scenario",
     "load_scenario",
     "build_scenario",
+    "noise_rebuilder",
     "dump_scenario",
     "save_scenario",
 ]
-
-_ROOT_2PI = float(np.sqrt(2.0 * np.pi))
-
 
 class ScenarioError(ValueError):
     """A scenario document failed to parse or validate."""
@@ -68,12 +70,11 @@ def _collect_marks(node, path: tuple, marks: dict[tuple, int]) -> None:
             _collect_marks(item, path + (i,), marks)
 
 
+@dataclass(frozen=True)
 class _Doc:
-    """The parsed document plus source-line lookups for diagnostics."""
+    """Source-line lookups for diagnostics on a parsed document."""
 
-    def __init__(self, data: Any, marks: dict[tuple, int]):
-        self.data = data
-        self.marks = marks
+    marks: dict[tuple, int]
 
     def fail(self, path: tuple, message: str) -> ScenarioError:
         line = self.marks.get(path, self.marks.get(path[:-1]) if path else None)
@@ -89,6 +90,14 @@ class _Doc:
                     f"unknown field {key!r} (allowed: {', '.join(sorted(allowed))})",
                 )
         return data
+
+    @contextmanager
+    def checked(self, path: tuple) -> Iterator[None]:
+        """Report a model ``ValidationError`` raised inside as a failure at ``path``."""
+        try:
+            yield
+        except ValidationError as e:
+            raise self.fail(path, str(e)) from e
 
     def require(self, data: dict, path: tuple, key: str) -> Any:
         if key not in data:
@@ -119,13 +128,18 @@ class _Doc:
 
 @dataclass(frozen=True, eq=False)
 class LoadedScenario:
-    """A fully built scenario plus the document it came from."""
+    """A fully built scenario plus the document it came from.
+
+    ``threshold`` is the cut ``(tau, strict)`` the classifier was built from
+    (a ``gaussian_instance`` without one gets the strict zero cut), or None.
+    """
 
     source: dict
     scenario: SubpopulationScenario
     classifier: Classifier | None
     instance: GaussianInstance | None = None
     discretized: DiscretizedInstance | None = None
+    threshold: tuple[float, bool] | None = None
 
     @property
     def k(self) -> int:
@@ -135,7 +149,7 @@ class LoadedScenario:
 def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFunction:
     sec = doc.section(raw, path, {"kind", "matrix", "a", "sigma"})
     kind = doc.require(sec, path, "kind")
-    try:
+    with doc.checked(path):
         if kind == "tabular":
             return CostFunction(space, doc.matrix(doc.require(sec, path, "matrix"), path + ("matrix",)))
         if kind == "shift":
@@ -145,15 +159,13 @@ def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFu
             if sigma <= 0:
                 raise doc.fail(path + ("sigma",), "sigma must be positive")
             return shift_cost(space, space.points / (_ROOT_2PI * sigma))
-    except ValidationError as e:
-        raise doc.fail(path, str(e)) from e
     raise doc.fail(path + ("kind",), f"unknown cost kind {kind!r} (tabular, shift, linear)")
 
 
 def _build_noise(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> NoiseKernel | None:
     sec = doc.section(raw, path, {"kind", "rows", "sigma"})
     kind = doc.require(sec, path, "kind")
-    try:
+    with doc.checked(path):
         if kind == "none":
             return None
         if kind == "tabular":
@@ -161,25 +173,24 @@ def _build_noise(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> Noise
         if kind == "gaussian":
             sigma = doc.number(doc.require(sec, path, "sigma"), path + ("sigma",))
             return NoiseKernel.gaussian(space, sigma)
-    except ValidationError as e:
-        raise doc.fail(path, str(e)) from e
     raise doc.fail(path + ("kind",), f"unknown noise kind {kind!r} (none, tabular, gaussian)")
 
 
-def _build_classifier(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> Classifier:
+def _build_classifier(
+    doc: _Doc, raw: Any, path: tuple, space: FeatureSpace
+) -> tuple[Classifier, tuple[float, bool] | None]:
     sec = doc.section(raw, path, {"kind", "tau", "strict", "probs"})
     kind = doc.require(sec, path, "kind")
-    try:
+    with doc.checked(path):
         if kind == "threshold":
             tau = doc.number(doc.require(sec, path, "tau"), path + ("tau",))
             strict = sec.get("strict", False)
             if not isinstance(strict, bool):
                 raise doc.fail(path + ("strict",), "strict must be a boolean")
-            return Classifier.threshold(space, tau, strict=strict)
+            return Classifier.threshold(space, tau, strict=strict), (tau, strict)
         if kind == "table":
-            return Classifier(space, doc.vector(doc.require(sec, path, "probs"), path + ("probs",)))
-    except ValidationError as e:
-        raise doc.fail(path, str(e)) from e
+            probs = doc.vector(doc.require(sec, path, "probs"), path + ("probs",))
+            return Classifier(space, probs), None
     raise doc.fail(path + ("kind",), f"unknown classifier kind {kind!r} (threshold, table)")
 
 
@@ -200,16 +211,17 @@ def _build_instance(doc: _Doc, raw: Any, path: tuple):
         kwargs["s_b"] = doc.number(sec["s_B"], path + ("s_B",))
     if "sigma" in sec:
         kwargs["sigma"] = doc.number(sec["sigma"], path + ("sigma",))
-    n = sec.get("n", 401)
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise doc.fail(path + ("n",), "n must be an integer")
-    mult = doc.number(sec.get("grid_halfwidth_mult", 8.0), path + ("grid_halfwidth_mult",))
-    try:
+    grid = {}  # discretize_instance owns the defaults
+    if "n" in sec:
+        grid["n"] = sec["n"]
+        if not isinstance(grid["n"], int) or isinstance(grid["n"], bool):
+            raise doc.fail(path + ("n",), "n must be an integer")
+    if "grid_halfwidth_mult" in sec:
+        mult_path = path + ("grid_halfwidth_mult",)
+        grid["grid_halfwidth_mult"] = doc.number(sec["grid_halfwidth_mult"], mult_path)
+    with doc.checked(path):
         inst = GaussianInstance(**kwargs)
-        disc = discretize_instance(inst, n=n, grid_halfwidth_mult=mult)
-    except ValidationError as e:
-        raise doc.fail(path, str(e)) from e
-    return inst, disc
+        return inst, discretize_instance(inst, **grid)
 
 
 _TOP_KEYS = {
@@ -226,7 +238,7 @@ _TOP_KEYS = {
 
 def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> LoadedScenario:
     """Build model objects from a parsed scenario document."""
-    doc = _Doc(source, marks or {})
+    doc = _Doc(marks or {})
     top = doc.section(source, (), _TOP_KEYS)
 
     if "gaussian_instance" in top:
@@ -240,29 +252,27 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
         inst, disc = _build_instance(doc, top["gaussian_instance"], ("gaussian_instance",))
         space = disc.scenario.space
         if "classifier" in top:
-            clf = _build_classifier(doc, top["classifier"], ("classifier",), space)
+            clf, cut = _build_classifier(doc, top["classifier"], ("classifier",), space)
         else:
-            clf = Classifier.threshold(space, 0.0, strict=True)
+            cut = (0.0, True)
+            clf = Classifier.threshold(space, *cut)
         return LoadedScenario(
             source=source,
             scenario=disc.scenario,
             classifier=clf,
             instance=inst,
             discretized=disc,
+            threshold=cut,
         )
 
-    try:
+    with doc.checked(("features",)):
         space = FeatureSpace(doc.vector(doc.require(top, (), "features"), ("features",)))
-    except ValidationError as e:
-        raise doc.fail(("features",), str(e)) from e
-    try:
+    with doc.checked(()):
         pop = Population(
             space,
             doc.vector(doc.require(top, (), "pi"), ("pi",)),
             doc.vector(doc.require(top, (), "h"), ("h",)),
         )
-    except ValidationError as e:
-        raise doc.fail((), str(e)) from e
 
     kernel = None
     if "noise" in top:
@@ -295,7 +305,7 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
                 raise doc.fail(("subpopulations",), "label all subpopulations or none")
         else:
             labels = []
-        try:
+        with doc.checked(("subpopulations",)):
             scen = SubpopulationScenario(
                 pop=pop,
                 shares=np.array(shares),
@@ -303,23 +313,28 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
                 kernel=kernel,
                 labels=tuple(labels),
             )
-        except ValidationError as e:
-            raise doc.fail(("subpopulations",), str(e)) from e
     else:
         cost = _build_cost(doc, doc.require(top, (), "cost"), ("cost",), space)
         scen = _single(pop, cost, kernel)
 
-    clf = None
+    clf = cut = None
     if "classifier" in top:
-        clf = _build_classifier(doc, top["classifier"], ("classifier",), space)
-    return LoadedScenario(source=source, scenario=scen, classifier=clf)
+        clf, cut = _build_classifier(doc, top["classifier"], ("classifier",), space)
+    return LoadedScenario(source=source, scenario=scen, classifier=clf, threshold=cut)
 
 
 def parse_scenario(text: str) -> LoadedScenario:
-    """Parse and build a scenario from YAML text."""
+    """Parse and build a scenario from YAML text, in one YAML parse."""
+    data, marks = None, {}
     try:
-        data = yaml.safe_load(text)
-        node = yaml.compose(text, Loader=yaml.SafeLoader)
+        loader = yaml.SafeLoader(text)
+        try:  # safe_load's two steps, marks first: construction rewrites merge keys
+            node = loader.get_single_node()
+            if node is not None:
+                _collect_marks(node, (), marks)
+                data = loader.construct_document(node)
+        finally:
+            loader.dispose()
     except yaml.YAMLError as e:
         line = None
         mark = getattr(e, "problem_mark", None)
@@ -328,10 +343,29 @@ def parse_scenario(text: str) -> LoadedScenario:
         raise ScenarioError(f"invalid YAML: {e}", (), line) from e
     if not isinstance(data, dict):
         raise ScenarioError("expected a mapping at the top level", (), 1)
-    marks: dict[tuple, int] = {}
-    if node is not None:
-        _collect_marks(node, (), marks)
     return build_scenario(data, marks)
+
+
+def noise_rebuilder(loaded: LoadedScenario) -> Callable[[float], tuple]:
+    """The map from a noise level sigma to the scenario and classifier rebuilt at it.
+
+    An instance document goes back through ``build_scenario`` with its sigma
+    replaced; a discrete one keeps its costs and gets a Gaussian kernel, none
+    at 0.  A tabular kernel has no sigma and is refused before any rebuild.
+    """
+    source, scen = loaded.source, loaded.scenario
+    if loaded.instance is None and source.get("noise", {}).get("kind") == "tabular":
+        raise ValidationError("a tabular noise kernel has no sigma; use gaussian noise")
+
+    def rebuild(sigma: float) -> tuple[SubpopulationScenario, Classifier | None]:
+        if loaded.instance is None:
+            kernel = None if sigma == 0 else NoiseKernel.gaussian(scen.space, sigma)
+            return dataclasses.replace(scen, kernel=kernel), loaded.classifier
+        inst = dict(source["gaussian_instance"], sigma=sigma)
+        row = build_scenario(dict(source, gaussian_instance=inst))
+        return row.scenario, row.classifier
+
+    return rebuild
 
 
 def load_scenario(path: str | Path) -> LoadedScenario:

@@ -39,6 +39,8 @@ __all__ = [
 LP_MAX_POINTS = 200
 ORACLE_MAX_POINTS = 5
 ORACLE_MAX_RESOLUTION = 21
+# Classifiers scored per batch in grid_oracle, to bound its temporaries.
+_ORACLE_CHUNK = 50_000
 
 
 def solve_deterministic(pop: Population, c: CostFunction) -> SolveReport:
@@ -171,7 +173,6 @@ def grid_oracle(
     resolution: int = 10,
     beta: float = 1.0,
     monotone_only: bool = False,
-    chunk: int = 50_000,
 ) -> SolveReport:
     """Exhaustive search over classifiers on a probability grid.
 
@@ -194,7 +195,7 @@ def grid_oracle(
             combos = itertools.combinations_with_replacement(range(resolution + 1), n)
             it = iter(combos)
             while True:
-                block = list(itertools.islice(it, chunk))
+                block = list(itertools.islice(it, _ORACLE_CHUNK))
                 if not block:
                     return
                 yield levels[np.array(block, dtype=int)]
@@ -202,8 +203,8 @@ def grid_oracle(
             total = (resolution + 1) ** n
             base = resolution + 1
             place = base ** np.arange(n - 1, -1, -1, dtype=np.int64)
-            for lo in range(0, total, chunk):
-                codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+            for lo in range(0, total, _ORACLE_CHUNK):
+                codes = np.arange(lo, min(lo + _ORACLE_CHUNK, total), dtype=np.int64)
                 digits = (codes[:, None] // place[None, :]) % base
                 yield levels[digits]
 

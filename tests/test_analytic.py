@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from stratclass import analytic
 from stratclass import (
     GaussianInstance,
     RegimeWarning,
@@ -207,3 +208,43 @@ class TestDiscretize:
         scen = discretize_instance(inst, n=201).scenario
         assert scen.shares.tolist() == [0.25, 0.75]
         assert scen.labels == ("A", "B")
+
+
+class TestSizeGuard:
+    """Sizes whose dense matrices exceed the limit are refused before allocation."""
+
+    FREE = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25)
+    NOISY = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=1.0)
+
+    @pytest.fixture()
+    def stop_after_guard(self, monkeypatch):
+        """Raise at the first n x n allocation, so a passing size costs nothing."""
+
+        class PastGuard(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise PastGuard
+
+        monkeypatch.setattr(analytic, "shift_cost", stop)
+        return PastGuard
+
+    @pytest.mark.parametrize("inst", [FREE, NOISY])
+    def test_huge_grid_refused(self, inst):
+        with pytest.raises(ValidationError, match=r"n: 20001 points need .* GB"):
+            discretize_instance(inst, n=20001)
+
+    @pytest.mark.parametrize("inst, matrices", [(FREE, 2), (NOISY, 3)])
+    def test_boundary(self, stop_after_guard, inst, matrices):
+        # 8 bytes per entry of each kept n x n matrix: two costs, plus the kernel
+        n = 201
+        while 8 * (n + 2) ** 2 * matrices <= analytic.DENSE_BYTES_LIMIT:
+            n += 2
+        with pytest.raises(stop_after_guard):
+            discretize_instance(inst, n=n)
+        with pytest.raises(ValidationError, match="GB"):
+            discretize_instance(inst, n=n + 2)
+
+    def test_noisy_6401_fits(self, stop_after_guard):
+        with pytest.raises(stop_after_guard):
+            discretize_instance(self.NOISY, n=6401)

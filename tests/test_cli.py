@@ -346,3 +346,83 @@ class TestReproduce:
         rc, out, _ = run(capsys, "reproduce", "thm4", "--tol", "1e-300")
         assert rc == 1
         assert "FAIL" in out
+
+
+INSTANCE = """\
+gaussian_instance:
+  t: 1.0
+  d: 100.0
+  sigma_A: 0.5
+  sigma_B: 1.0
+  s_A: 0.25
+  n: 201
+"""
+
+INSTANCE_CUT = INSTANCE + "classifier:\n  kind: threshold\n  tau: 0.5\n"
+
+INSTANCE_TABLE = INSTANCE + "classifier:\n  kind: table\n  probs: [%s]\n" % ", ".join(
+    ["0.0"] * 101 + ["1.0"] * 100
+)
+
+
+@pytest.fixture()
+def instance_files(tmp_path):
+    texts = {
+        "default": INSTANCE,
+        "cut": INSTANCE_CUT,
+        "table": INSTANCE_TABLE,
+        "huge": INSTANCE.replace("n: 201", "n: 20001"),
+    }
+    paths = {}
+    for name, text in texts.items():
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(text)
+        paths[name] = str(path)
+    return paths
+
+
+class TestInstanceSweep:
+    """Sweeps on a gaussian_instance; expected rows as the loader first gave them."""
+
+    def test_sigma_sweep_rebuilds_the_instance(self, instance_files, capsys):
+        rc, out, _ = run(capsys, "sweep", instance_files["cut"], "--param", "sigma", "--range", "0:1:3")
+        assert rc == 0
+        assert out == (
+            "param,U,U_A,U_B,gap,E\n"
+            "0,0.501230445193,0.503167617669,0.500584721034,0.00258289663558,0.373943526025\n"
+            "0.5,0.502333133935,0.503240495541,0.502030680067,0.0012098154745,0.311627177935\n"
+            "1,0.502646153512,0.502646153512,0.502646153512,0,0.502646153512\n"
+        )
+
+    def test_tau_sweep_keeps_the_strict_default_cut(self, instance_files, capsys):
+        rc, out, _ = run(
+            capsys, "sweep", instance_files["default"], "--param", "tau", "--range", "-0.08:0.08:3"
+        )
+        assert rc == 0
+        assert out == (
+            "param,U,U_A,U_B,gap,E\n"
+            "-0.08,0.50058768217,0.501850359085,0.500166789865,0.00168356922033,0.422931710311\n"
+            "0,0.500661743828,0.502036799557,0.500203391918,0.0018334076389,0.416215503902\n"
+            "0.08,0.50074176361,0.502227722452,0.500246443996,0.00198127845591,0.409321526441\n"
+        )
+
+    def test_sigma_sweep_rejects_table_classifier(self, instance_files, capsys):
+        rc, out, err = run(capsys, "sweep", instance_files["table"], "--param", "sigma", "--range", "0:1:3")
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            "error: a table classifier is tied to one grid; sigma sweeps on a "
+            "gaussian_instance rebuild the grid, so use a threshold classifier\n"
+        )
+
+    def test_sigma_row_outside_the_regime(self, instance_files, capsys):
+        rc, out, err = run(capsys, "sweep", instance_files["cut"], "--param", "sigma", "--range", "0:20:2")
+        assert rc == 2
+        assert out == ""
+        assert "d >= 8 max(t, sigma)" in err
+
+    def test_oversized_instance_refused_at_load(self, instance_files, capsys):
+        rc, out, err = run(capsys, "evaluate", instance_files["huge"])
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: line 2: gaussian_instance: n: 20001 points need")

@@ -375,3 +375,14 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         nested.add(f"{path.name}:{node.lineno}")
     assert sorted(nested) == []
+
+
+def test_cli_reads_no_scenario_source():
+    # the scenario format has one owner: cli.py works on built objects only
+    tree = ast.parse((Path(stratclass.__file__).parent / "cli.py").read_text())
+    reads = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "source"
+    ]
+    assert reads == []

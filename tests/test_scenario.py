@@ -2,17 +2,24 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
 from stratclass import (
     ScenarioError,
+    ValidationError,
     build_scenario,
     dump_scenario,
     load_scenario,
     parse_scenario,
     save_scenario,
+    subpop_accuracies,
+    threshold_sweep,
 )
+from stratclass.scenario import noise_rebuilder
 
 TWOPOINT = """\
 features: [1.0, 2.0]
@@ -232,3 +239,87 @@ class TestRoundTrip:
         )
         assert loaded.scenario.k == 1
         assert loaded.classifier is None
+
+
+ANCHORED = """\
+features: &grid [-1.0, 0.0, 1.0]
+pi: [0.25, 0.5, 0.25]
+h: [0.2, 0.5, 0.8]
+subpopulations:
+  - &dear
+    share: 0.25
+    cost: {kind: shift, a: [0.0, 0.8, 1.6]}
+  - <<: *dear
+    share: 0.75
+classifier: {kind: threshold, tau: 0.0, strict: true}
+"""
+
+
+class TestOneParse:
+    @pytest.mark.parametrize("text", [TWOPOINT, NOISY, GROUPED, INSTANCE, ANCHORED])
+    def test_data_is_what_safe_load_gives(self, text):
+        assert parse_scenario(text).source == yaml.safe_load(text)
+
+    def test_merged_entry_keeps_its_own_line(self):
+        text = ANCHORED.replace("share: 0.75", "share: oops")
+        with pytest.raises(ScenarioError, match="line 9: subpopulations.1.share"):
+            parse_scenario(text)
+
+
+class TestThresholdCut:
+    @pytest.mark.parametrize(
+        "text, cut",
+        [
+            (INSTANCE, (0.0, True)),
+            (INSTANCE + "classifier:\n  kind: threshold\n  tau: 0.5\n", (0.5, False)),
+            (GROUPED, (0.0, False)),
+            (ANCHORED, (0.0, True)),
+            (TWOPOINT, None),
+            (TWOPOINT[: TWOPOINT.index("classifier:")], None),
+        ],
+    )
+    def test_loader_records_the_cut(self, text, cut):
+        assert parse_scenario(text).threshold == cut
+
+
+NOISY_GROUPED = GROUPED.replace("classifier:", "noise:\n  kind: gaussian\n  sigma: 0.3\nclassifier:")
+
+
+class TestNoiseRebuild:
+    """A rebuild at sigma v is the document written with sigma v."""
+
+    @staticmethod
+    def assert_same_game(rebuilt, parsed):
+        (scen, clf), want = rebuilt, parsed
+        assert np.array_equal(clf.probs, want.classifier.probs)
+        reports = [subpop_accuracies(clf, scen), subpop_accuracies(want.classifier, want.scenario)]
+        assert dataclasses.astuple(reports[0]) == dataclasses.astuple(reports[1])
+        sweeps = [threshold_sweep(scen), threshold_sweep(want.scenario)]
+        assert [dataclasses.astuple(p) for p in sweeps[0]] == [
+            dataclasses.astuple(p) for p in sweeps[1]
+        ]
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("classifier", ["", "classifier:\n  kind: threshold\n  tau: 0.5\n"])
+    def test_instance(self, sigma, classifier):
+        rebuilt = noise_rebuilder(parse_scenario(INSTANCE + classifier))(sigma)
+        parsed = parse_scenario(INSTANCE + f"  sigma: {sigma!r}\n" + classifier)
+        assert rebuilt[0].space.points.tobytes() == parsed.scenario.space.points.tobytes()
+        self.assert_same_game(rebuilt, parsed)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.2, 0.7])
+    def test_discrete(self, sigma):
+        rebuilt = noise_rebuilder(parse_scenario(NOISY_GROUPED))(sigma)
+        noise = f"kind: gaussian\n  sigma: {sigma!r}" if sigma else "kind: none"
+        parsed = parse_scenario(NOISY_GROUPED.replace("kind: gaussian\n  sigma: 0.3", noise))
+        assert (rebuilt[0].kernel is None) == (sigma == 0)
+        self.assert_same_game(rebuilt, parsed)
+
+    def test_tabular_kernel_refused(self):
+        with pytest.raises(ValidationError, match="tabular noise kernel has no sigma"):
+            noise_rebuilder(parse_scenario(NOISY))
+
+    def test_rebuilt_rows_are_checked_like_a_load(self):
+        rebuild = noise_rebuilder(parse_scenario(INSTANCE))
+        with pytest.raises(ScenarioError, match=r"^gaussian_instance: d: the closed forms"):
+            rebuild(20.0)
