@@ -1,10 +1,12 @@
 """Best responses and the induced payoffs of the classification game.
 
 The institution publishes a classifier ``f``; each contestant at grid point x
-then moves to whichever point maximises acceptance probability net of the
-manipulation cost, staying put unless a move is a strict improvement.  The
-institution's utility is the accuracy it collects after everyone has moved,
-and the cost of strategy is the manipulation spend of the qualified mass.
+then moves to the most accepted point whose gain in acceptance exceeds the
+manipulation cost, staying put when there is none.  Unlike the quasi-linear
+rule of Hardt et al. (arXiv 1506.06980), this does not maximise acceptance
+net of the cost.  The institution's utility is the accuracy it collects after
+everyone has moved, and the cost of strategy is the manipulation spend of the
+qualified mass.
 ``_target_indices`` is the one best response and :func:`subpop_accuracies`
 the one payoff computation; every other payoff, here and in
 :mod:`stratclass.noise`, evaluates a one-group scenario with it.  For a
@@ -69,9 +71,9 @@ class BestResponse:
 
 
 def _target_indices(
-    values: np.ndarray, costs: np.ndarray, a: np.ndarray | None = None
+    values: np.ndarray, costs: np.ndarray | CostFunction, a: np.ndarray | None = None
 ) -> np.ndarray:
-    """Best-response targets for acceptance values ``values`` and cost matrix.
+    """Best-response targets for acceptance values ``values`` and a cost.
 
     A move i -> j is available iff values[j] - values[i] exceeds
     costs[i, j] by more than KNIFE_EDGE_ATOL.  A gain that merely ties its
@@ -87,10 +89,10 @@ def _target_indices(
     staying, so the stay option only wins when no move is available.
     ``values`` may also be a batch of shape ``(..., n)``.
 
-    ``a`` is the vector of a separable cost, costs[i, j] = max(a[j] - a[i],
-    0) as :func:`~stratclass.model.shift_cost` builds it.  For 1-D values
-    it shrinks each row's candidates in O(n), and every move that remains
-    is still decided on the comparison above, with the same tie-break:
+    ``costs`` may also be a CostFunction; a separable one brings its ``a``,
+    with costs[i, j] = max(a[j] - a[i], 0).  For 1-D values ``a`` shrinks
+    each row's candidates in O(n), and every move that remains is decided on
+    the comparison above, with the same tie-break and its cost taken from a:
 
     - Downward (j < i).  These costs are exact zeros, and q[j] - q[i]
       rounds monotonically in q[j], so only the first maximum of q[:i] can
@@ -116,8 +118,12 @@ def _target_indices(
     have a larger value earlier (searched in blocks of rows, stopping at the
     first hit) or in the upward block.
     """
+    if isinstance(costs, CostFunction):
+        a = costs._a
+        if a is None or values.ndim > 1:
+            costs = costs.costs
     if a is not None and values.ndim == 1:
-        target, edge = _separable_targets(values, costs, a)
+        target, edge = _separable_targets(values, a)
     else:
         target, edge = _generic_targets(values, costs)
     if edge is not None:
@@ -156,7 +162,7 @@ def _generic_targets(
 
 
 def _separable_targets(
-    q: np.ndarray, costs: np.ndarray, a: np.ndarray
+    q: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, tuple[int, int] | None]:
     """Targets and first knife-edge pair for costs built from ``a``.
 
@@ -183,7 +189,7 @@ def _separable_targets(
     if rows.size:
         cols = np.flatnonzero((key >= floor[rows].min()) & (idx > rows[0]))
         gains = q[cols] - q[rows, None]
-        c = costs[rows[:, None], cols]
+        c = np.maximum(a[cols] - a[rows, None], 0.0)
         upward = cols > rows[:, None]
         cand = np.where(upward & (gains > c + KNIFE_EDGE_ATOL), q[cols], -np.inf)
         best = cand.max(axis=1)
@@ -245,7 +251,7 @@ def _respond(
     """Strict-improvement moves against the effective acceptance curve."""
     _check_noisy_classifier(f, kernel, allow_randomized)
     _require_same_space(f, c)
-    target = _target_indices(effective_acceptance(f, kernel), c.costs, c._a)
+    target = _target_indices(effective_acceptance(f, kernel), c)
     return BestResponse(target=target, moved=target != np.arange(f.space.n))
 
 
@@ -260,11 +266,10 @@ def _accuracy(pi: np.ndarray, h: np.ndarray, accepted: np.ndarray) -> float:
 
 
 def _strategy_cost(
-    pi: np.ndarray, h: np.ndarray, costs: np.ndarray, target: np.ndarray
+    pi: np.ndarray, h: np.ndarray, c: CostFunction, target: np.ndarray
 ) -> float:
     """Manipulation spend of the qualified mass under targets ``target``."""
-    n = pi.size
-    return float(np.dot(pi * h, costs[np.arange(n), target]))
+    return float(np.dot(pi * h, c.at(np.arange(pi.size), target)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,7 +295,7 @@ def _subpop_report(
     pop = scenario.pop
     us = [_accuracy(pop.pi, pop.h, q[t]) for t in targets]
     ks = [
-        _strategy_cost(pop.pi, pop.h, fn.costs, t)
+        _strategy_cost(pop.pi, pop.h, fn, t)
         for fn, t in zip(scenario.cost_fns, targets)
     ]
     us_arr = np.array(us)
@@ -314,7 +319,7 @@ def subpop_accuracies(
     _check_noisy_classifier(f, scenario.kernel, allow_randomized)
     _require_same_space(scenario.pop, f)
     q = effective_acceptance(f, scenario.kernel)
-    targets = [_target_indices(q, fn.costs, fn._a) for fn in scenario.cost_fns]
+    targets = [_target_indices(q, fn) for fn in scenario.cost_fns]
     return _subpop_report(scenario, q, targets)
 
 

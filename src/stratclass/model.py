@@ -241,7 +241,9 @@ class CostFunction:
     and every move to a weakly lower grid point is free (tiny numerical dust
     on those entries is canonicalised to exact zero).  Sub-additivity is the
     caller's responsibility; run :func:`validate_simple_cost` or
-    :meth:`simple_violations` for the full certificate.
+    :meth:`simple_violations` for the full certificate.  A separable cost
+    (:func:`shift_cost`) is stored as its ``a`` alone: ``costs`` is built on
+    first read, and :meth:`at` serves entries without it.
     """
 
     space: FeatureSpace
@@ -272,6 +274,22 @@ class CostFunction:
         c.flags.writeable = False
         object.__setattr__(self, "costs", c)
 
+    def __getattr__(self, name: str):
+        # only a separable cost lacks costs; racing threads build equal bits
+        if name != "costs" or self._a is None:
+            raise AttributeError(name)
+        c = self._a[None, :] - self._a[:, None]
+        np.maximum(c, 0.0, out=c)
+        c.flags.writeable = False
+        object.__setattr__(self, "costs", c)
+        return c
+
+    def at(self, rows, cols) -> np.ndarray:
+        """The entries ``costs[rows, cols]``, from ``a`` alone when separable."""
+        if self._a is None:
+            return self.costs[rows, cols]
+        return np.maximum(self._a[cols] - self._a[rows], 0.0)
+
     @property
     def n(self) -> int:
         return self.space.n
@@ -284,8 +302,8 @@ def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
     """Cost family ``c(x, x') = max(a(x') - a(x), 0)`` for nondecreasing a.
 
     Every member is simple; the linear family used with Gaussian models is
-    the special case ``a(x) = x / (sqrt(2 pi) sigma)``.  The result keeps
-    ``a`` so best responses can use the separable form.
+    the special case ``a(x) = x / (sqrt(2 pi) sigma)``.  The result stores
+    ``a`` alone; its O(n) checks below imply the cost axioms.
     """
     arr = np.array(a, dtype=float)
     if arr.shape != (space.n,):
@@ -294,9 +312,11 @@ def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
         raise ValidationError("a: entries must be finite")
     if arr.size > 1 and np.any(np.diff(arr) < 0):
         raise ValidationError("a: must be nondecreasing")
+    if not np.isfinite(arr[-1] - arr[0]):
+        raise ValidationError("costs: entries must be finite")
     arr.flags.writeable = False
-    rise = arr[None, :] - arr[:, None]
-    cost = CostFunction(space, np.maximum(rise, 0.0, out=rise))
+    cost = object.__new__(CostFunction)
+    object.__setattr__(cost, "space", space)
     object.__setattr__(cost, "_a", arr)
     return cost
 

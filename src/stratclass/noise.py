@@ -159,7 +159,7 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
         targets = [
             _fast_threshold_targets(fn.costs, start)
             if fast
-            else _target_indices(q, fn.costs, fn._a)
+            else _target_indices(q, fn)
             for fast, fn in zip(fast_ok, scenario.cost_fns)
         ]
         rep = _subpop_report(scenario, q, targets)

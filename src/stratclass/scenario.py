@@ -61,13 +61,21 @@ class ScenarioError(ValueError):
 
 
 def _collect_marks(node, path: tuple, marks: dict[tuple, int]) -> None:
-    marks[path] = node.start_mark.line + 1
-    if isinstance(node, yaml.MappingNode):
-        for key_node, value_node in node.value:
-            _collect_marks(value_node, path + (str(key_node.value),), marks)
-    elif isinstance(node, yaml.SequenceNode):
-        for i, item in enumerate(node.value):
-            _collect_marks(item, path + (i,), marks)
+    # depth first in document order; a node that holds itself through an alias
+    # (&x [*x]) is refused at the line of the key or sequence that refers to it
+    todo = [(node, path, node.start_mark.line + 1, ())]
+    while todo:
+        node, path, line, outer = todo.pop()
+        if any(node is o for o in outer):
+            raise ScenarioError("an alias refers to a node that contains it", path, line)
+        marks[path] = node.start_mark.line + 1
+        kids = []
+        if isinstance(node, yaml.MappingNode):
+            kids = [(v, path + (str(k.value),), k.start_mark.line + 1) for k, v in node.value]
+        elif isinstance(node, yaml.SequenceNode):
+            kids = [(v, path + (i,), marks[path]) for i, v in enumerate(node.value)]
+        inner = outer + (node,)
+        todo += [(*kid, inner) for kid in reversed(kids)]
 
 
 @dataclass(frozen=True)
@@ -107,7 +115,13 @@ class _Doc:
     def number(self, value: Any, path: tuple) -> float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise self.fail(path, f"expected a number, got {type(value).__name__}")
-        return float(value)
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = np.inf
+        if not np.isfinite(number):
+            raise self.fail(path, "expected a finite number")
+        return number
 
     def vector(self, value: Any, path: tuple) -> np.ndarray:
         if not isinstance(value, list) or not value:

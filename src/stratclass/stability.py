@@ -68,7 +68,8 @@ def pooled_mass(f: Classifier, pop: Population, c: CostFunction) -> PooledMass:
     # The pooled mass redistributes the full signed accuracy mass; anything
     # else indicates a broken best response.
     total = float(np.dot(pop.pi, 2.0 * pop.h - 1.0))
-    assert abs(float(mass.sum()) - total) <= 1e-12
+    if abs(float(mass.sum()) - total) > 1e-12:
+        raise RuntimeError(f"pooled mass sums to {float(mass.sum())!r}, expected {total!r}")
     return PooledMass(mass=mass)
 
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -44,7 +46,9 @@ from stratclass import (
     utility,
 )
 from stratclass.game import _target_indices
+from stratclass.model import ValidationError
 from stratclass.noise import _fast_threshold_targets
+from stratclass.scenario import noise_rebuilder
 from stratclass.sampling import (
     random_kernel,
     random_population,
@@ -288,6 +292,87 @@ def test_only_shift_cost_keeps_a():
     assert random_simple_cost(np.random.default_rng(0), space)._a is None
 
 
+def _matrix_as_validated(a: np.ndarray, space: FeatureSpace) -> np.ndarray:
+    """The matrix a tabular cost keeps for max(a[j] - a[i], 0): the dense form."""
+    return CostFunction(space, np.maximum(a[None, :] - a[:, None], 0.0)).costs
+
+
+def _signed_zero_ramp(n: int) -> np.ndarray:
+    """The linear family's a on a Gaussian grid, with -0.0 and +0.0 at its centre."""
+    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25)
+    a = discretize_instance(inst, n=201).scenario.space.points / 0.7
+    a = np.interp(np.linspace(0, 200, n), np.arange(201), a)
+    c = n // 2
+    a[c - 2 : c + 1] = -0.0
+    a[c + 1 : c + 3] = 0.0
+    return a
+
+
+class TestSeparableStorage:
+    @pytest.mark.parametrize("n", [201, 801, 1601, 3201])
+    def test_costs_and_entries_match_the_dense_form_bit_for_bit(self, n):
+        a = _signed_zero_ramp(n)
+        space = FeatureSpace(np.arange(n, dtype=float))
+        c = shift_cost(space, a)
+        assert "costs" not in c.__dict__
+        want = _matrix_as_validated(a, space).view(np.uint64)
+        assert not np.signbit(want.view(float)).any()
+        rng = np.random.default_rng(n)
+        rows, cols = rng.integers(n, size=(2, 4 * n))
+        assert np.array_equal(c.at(rows, cols).view(np.uint64), want[rows, cols])
+        block = (np.arange(n // 2 - 40, n // 2 + 40)[:, None], np.arange(n))
+        assert np.array_equal(c.at(*block).view(np.uint64), want[block])
+        got = c.costs
+        assert np.array_equal(got.view(np.uint64), want)
+        assert c.costs is got and not got.flags.writeable
+
+    def test_tabular_entries_are_the_matrix(self):
+        c = random_simple_cost(np.random.default_rng(1), FeatureSpace(np.arange(6.0)))
+        rows, cols = np.random.default_rng(2).integers(6, size=(2, 20))
+        assert np.array_equal(c.at(rows, cols), c.costs[rows, cols])
+
+    @pytest.mark.parametrize("a", [[-1e308, 1e308], [-1e308, 0.0, 1e308]])
+    def test_overflowing_rise_refused(self, a):
+        with pytest.raises(ValidationError, match="^costs: entries must be finite$"):
+            shift_cost(FeatureSpace(np.arange(float(len(a)))), a)
+
+    def test_racing_threads_cache_equal_bits(self):
+        n = 401
+        a = _signed_zero_ramp(n)
+        want = _matrix_as_validated(a, FeatureSpace(np.arange(float(n))))
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                c = shift_cost(FeatureSpace(np.arange(float(n))), a)
+                seen = []
+                threads = [threading.Thread(target=lambda: seen.append(c.costs)) for _ in range(8)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30)
+                assert not any(t.is_alive() for t in threads) and len(seen) == 8
+                for m in seen + [c.costs]:
+                    assert np.array_equal(m.view(np.uint64), want.view(np.uint64))
+        finally:
+            sys.setswitchinterval(switch)
+
+    def test_evaluation_builds_no_matrix(self):
+        inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=0.5)
+        scen = discretize_instance(inst, n=201).scenario
+        clf = Classifier.threshold(scen.space, 0.0, strict=True)
+        subpop_accuracies(clf, scen)
+        threshold_sweep(scen)
+        solve_deterministic_noisy(scen)
+        text = (
+            "gaussian_instance: {t: 1.0, d: 100.0, sigma_A: 0.5, sigma_B: 1.0, s_A: 0.25, n: 201}\n"
+        )
+        row, row_clf = noise_rebuilder(parse_scenario(text))(0.5)
+        subpop_accuracies(row_clf, row)
+        for fn in scen.cost_fns + row.cost_fns:
+            assert "costs" not in fn.__dict__
+
+
 # ------------------------------------------------------------ grid checks
 
 _HERE = FeatureSpace([0.0, 1.0, 2.0])
@@ -375,6 +460,18 @@ def test_no_imports_inside_functions():
                     if isinstance(node, (ast.Import, ast.ImportFrom)):
                         nested.add(f"{path.name}:{node.lineno}")
     assert sorted(nested) == []
+
+
+def test_no_assert_statements():
+    # python -O strips assert; a check the package relies on must raise
+    package = Path(stratclass.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 def test_cli_reads_no_scenario_source():

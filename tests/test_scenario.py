@@ -19,6 +19,7 @@ from stratclass import (
     subpop_accuracies,
     threshold_sweep,
 )
+from stratclass.cli import main
 from stratclass.scenario import noise_rebuilder
 
 TWOPOINT = """\
@@ -323,3 +324,63 @@ class TestNoiseRebuild:
         rebuild = noise_rebuilder(parse_scenario(INSTANCE))
         with pytest.raises(ScenarioError, match=r"^gaussian_instance: d: the closed forms"):
             rebuild(20.0)
+
+
+LINEAR = """\
+features: [-1.0, 0.0, 1.0]
+pi: [0.25, 0.5, 0.25]
+h: [0.2, 0.5, 0.8]
+cost: {kind: linear, sigma: 0.5}
+classifier: {kind: threshold, tau: 0.0}
+"""
+
+
+class TestRefusedDocuments:
+    """Documents the loader must refuse with a line, which the CLI maps to exit 2."""
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("features: &x [*x]\n", "line 1: features.0"),
+            ("features: &x\n  - 1.0\n  - *x\n", "line 1: features.1"),
+            ("features: [0.0]\nextra: &m\n  inner:\n    deeper: *m\n", "line 4: extra.inner.deeper"),
+        ],
+    )
+    def test_alias_cycle(self, text, where, tmp_path, capsys):
+        with pytest.raises(ScenarioError, match="alias refers to a node that contains it") as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(where)
+        path = tmp_path / "cycle.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
+    def test_shared_anchor_still_loads(self):
+        text = GROUPED.replace(
+            "cost:\n      kind: shift\n      a: [0.0, 0.8, 1.6]",
+            "cost: &c\n      kind: shift\n      a: [0.0, 0.8, 1.6]",
+        ).replace("cost:\n      kind: shift\n      a: [0.0, 0.4, 0.8]", "cost: *c")
+        assert "cost: *c" in text and "cost: &c" in text
+        first, second = parse_scenario(text).scenario.cost_fns
+        assert np.array_equal(first.costs, second.costs)
+
+    @pytest.mark.parametrize(
+        "old, new, where",
+        [
+            ("sigma: 0.5", "sigma: .nan", "line 4: cost.sigma"),
+            ("sigma: 0.5", "sigma: .inf", "line 4: cost.sigma"),
+            ("tau: 0.0", "tau: .inf", "line 5: classifier.tau"),
+            ("tau: 0.0", "tau: -.inf", "line 5: classifier.tau"),
+            ("tau: 0.0", "tau: " + "9" * 400, "line 5: classifier.tau"),
+            ("[-1.0, 0.0, 1.0]", "[-1.0, 0.0, .inf]", "line 1: features.2"),
+        ],
+    )
+    def test_non_finite_number(self, old, new, where, tmp_path, capsys):
+        text = LINEAR.replace(old, new)
+        with pytest.raises(ScenarioError, match="expected a finite number") as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(where)
+        path = tmp_path / "bad.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 2
+        assert f"{where}: expected a finite number" in capsys.readouterr().err
