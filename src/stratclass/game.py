@@ -70,9 +70,7 @@ class BestResponse:
             object.__setattr__(self, name, arr)
 
 
-def _target_indices(
-    values: np.ndarray, costs: np.ndarray | CostFunction, a: np.ndarray | None = None
-) -> np.ndarray:
+def _target_indices(values: np.ndarray, costs: np.ndarray | CostFunction) -> np.ndarray:
     """Best-response targets for acceptance values ``values`` and a cost.
 
     A move i -> j is available iff values[j] - values[i] exceeds
@@ -118,14 +116,12 @@ def _target_indices(
     have a larger value earlier (searched in blocks of rows, stopping at the
     first hit) or in the upward block.
     """
-    if isinstance(costs, CostFunction):
-        a = costs._a
-        if a is None or values.ndim > 1:
-            costs = costs.costs
+    a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
         target, edge = _separable_targets(values, a)
     else:
-        target, edge = _generic_targets(values, costs)
+        matrix = costs.costs if isinstance(costs, CostFunction) else costs
+        target, edge = _generic_targets(values, matrix)
     if edge is not None:
         i, j = edge
         warnings.warn(

@@ -310,10 +310,11 @@ def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
         raise ValidationError(f"a: expected {space.n} entries, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValidationError("a: entries must be finite")
-    if arr.size > 1 and np.any(np.diff(arr) < 0):
+    if np.any(arr[1:] < arr[:-1]):
         raise ValidationError("a: must be nondecreasing")
-    if not np.isfinite(arr[-1] - arr[0]):
-        raise ValidationError("costs: entries must be finite")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(arr[-1] - arr[0]):
+            raise ValidationError("costs: entries must be finite")
     arr.flags.writeable = False
     cost = object.__new__(CostFunction)
     object.__setattr__(cost, "space", space)

@@ -111,21 +111,41 @@ class SweepPoint:
     gap: float
 
 
-def _fast_threshold_targets(costs: np.ndarray, start: int) -> np.ndarray:
+def _fast_path_ok(c: CostFunction) -> bool:
+    """Whether :func:`_fast_threshold_targets` may answer for ``c``.
+
+    The matrix test flags a separable pair only if a[j] - a[i] lies within
+    KNIFE_EDGE_ATOL + eps of 1, and each bound of the sorted search errs by
+    under 3 eps (1 + max|a|) / 2, so ``slack`` covers both.  A refused safe
+    cost only takes the generic path, to the same targets and warnings.
+    """
+    a = c._a
+    if a is None:
+        rows_monotone = bool(np.all(np.diff(c.costs, axis=1) >= 0.0))
+        return rows_monotone and not np.any(np.abs(c.costs - 1.0) < KNIFE_EDGE_ATOL)
+    slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(a).max())
+    with np.errstate(over="ignore"):  # an infinite bound only widens the window
+        lo = np.searchsorted(a, a + (1.0 - KNIFE_EDGE_ATOL - slack))
+        hi = np.searchsorted(a, a + (1.0 + KNIFE_EDGE_ATOL + slack), side="right")
+    return not np.any(hi > lo)
+
+
+def _fast_threshold_targets(c: CostFunction, start: int) -> np.ndarray:
     """Best response to a noiseless suffix classifier under monotone rows.
 
-    Everyone below the threshold whose cheapest accepted destination costs
-    under the unit gain jumps to the first accepted point; ties at smaller
-    indices are automatic because rows are nondecreasing.
+    Everyone below the threshold whose first accepted point costs under the
+    unit gain (read through ``c.at``) jumps there; that point is the
+    cheapest accepted one and the smallest index.  This matches the generic
+    path when no cost lies within KNIFE_EDGE_ATOL of the unit gain, where it
+    would warn.  A tabular cost is tested on its matrix; a separable cost has
+    monotone rows by construction, and a sorted search on ``a`` looks for
+    a[j] near a[i] + 1 (:func:`_fast_path_ok`).
     """
-    n = costs.shape[0]
-    idx = np.arange(n)
-    if start <= 0 or start >= n:
-        return idx
-    target = idx.copy()
-    # the same banded comparison _target_indices applies, with gain = 1.0
-    movers = (idx < start) & (1.0 > costs[:, start] + KNIFE_EDGE_ATOL)
-    target[movers] = start
+    target = np.arange(c.n)
+    if 0 < start < c.n:
+        # the same banded comparison _target_indices applies, with gain = 1.0
+        movers = 1.0 > c.at(target[:start], start) + KNIFE_EDGE_ATOL
+        target[:start][movers] = start
     return target
 
 
@@ -135,21 +155,14 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     Returns one point per distinct acceptance suffix (n + 1 in all), from
     accept-all (``start`` = 0) up.  Each is labelled by the first (tau,
     strict) pair that produces it: ``(points[0], False)`` for accept-all and
-    ``(points[start - 1], True)`` for every other cut.
+    ``(points[start - 1], True)`` for every other cut.  Without noise, a
+    cost that passes :func:`_fast_path_ok` (on its matrix if tabular, on
+    ``a`` if separable) takes the fast path; the rest take the generic one.
     """
     space = scenario.space
     n = space.n
     kernel = scenario.kernel
-    # The noiseless fast path is valid when each cost row is nondecreasing
-    # (so the first accepted point is the cheapest destination) and no cost
-    # sits on the knife edge against the unit gain, where the generic path
-    # would emit its diagnostic.
-    fast_ok = [
-        kernel is None
-        and bool(np.all(np.diff(fn.costs, axis=1) >= 0.0))
-        and not np.any(np.abs(fn.costs - 1.0) < KNIFE_EDGE_ATOL)
-        for fn in scenario.cost_fns
-    ]
+    fast_ok = [kernel is None and _fast_path_ok(fn) for fn in scenario.cost_fns]
 
     out: list[SweepPoint] = []
     for start in range(n + 1):
@@ -157,7 +170,7 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
         probs[start:] = 1.0
         q = probs if kernel is None else kernel.rows @ probs
         targets = [
-            _fast_threshold_targets(fn.costs, start)
+            _fast_threshold_targets(fn, start)
             if fast
             else _target_indices(q, fn)
             for fast, fn in zip(fast_ok, scenario.cost_fns)

@@ -9,7 +9,6 @@ discretized engine against the Gaussian closed forms.
 
 from __future__ import annotations
 
-import contextlib
 import warnings
 from dataclasses import dataclass
 
@@ -157,26 +156,15 @@ def noise_benefit_instance() -> GaussianInstance:
     )
 
 
-@contextlib.contextmanager
-def _quiet():
-    # Checks exercise knife-edge instances on purpose; silence the
-    # diagnostics so expected-vs-actual output stays clean.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", KnifeEdgeWarning)
-        warnings.simplefilter("ignore", RegimeWarning)
-        yield
-
-
 def verify_threepoint(tol: float | None = None) -> list[Check]:
     exact = tol if tol is not None else 1e-12
     pop, cost, clf = threepoint_example()
-    with _quiet():
-        rep = subpop_accuracies(clf, _single(pop, cost))
-        det = solve_deterministic(pop, cost)
-        lp = solve_efficiency_lp(pop, cost)
-        oracle = grid_oracle(pop, cost, resolution=20, beta=0.0, monotone_only=True)
-        dev = best_deviation(clf, pop, cost)
-        eq = is_equilibrium(clf, pop, cost)
+    rep = subpop_accuracies(clf, _single(pop, cost))
+    det = solve_deterministic(pop, cost)
+    lp = solve_efficiency_lp(pop, cost)
+    oracle = grid_oracle(pop, cost, resolution=20, beta=0.0, monotone_only=True)
+    dev = best_deviation(clf, pop, cost)
+    eq = is_equilibrium(clf, pop, cost)
     bound = 2.0 / 3.0 + exact
     return [
         _close("accuracy of the mixed classifier", 29.0 / 30.0, rep.utility, exact),
@@ -204,12 +192,11 @@ def verify_threepoint(tol: float | None = None) -> list[Check]:
 def verify_twopoint(tol: float | None = None) -> list[Check]:
     exact = tol if tol is not None else 1e-12
     pop, cost, clf = twopoint_example()
-    with _quiet():
-        rep = subpop_accuracies(clf, _single(pop, cost))
-        det = solve_deterministic(pop, cost)
-        lp = solve_efficiency_lp(pop, cost)
-        dev = best_deviation(clf, pop, cost)
-        eq = is_equilibrium(clf, pop, cost)
+    rep = subpop_accuracies(clf, _single(pop, cost))
+    det = solve_deterministic(pop, cost)
+    lp = solve_efficiency_lp(pop, cost)
+    dev = best_deviation(clf, pop, cost)
+    eq = is_equilibrium(clf, pop, cost)
     lp_probs_err = float(np.max(np.abs(lp.classifier.probs - np.array([0.5, 1.0]))))
     return [
         _close("accuracy of the half-half classifier", 0.75, rep.utility, exact),
@@ -232,12 +219,11 @@ def verify_twopoint(tol: float | None = None) -> list[Check]:
 def verify_noise_example(tol: float | None = None) -> list[Check]:
     exact = tol if tol is not None else 1e-12
     pop, kernel, cost, clf = noise_example()
-    with _quiet():
-        q = effective_acceptance(clf, kernel)
-        br = noisy_best_response(clf, kernel, cost)
-        rep = subpop_accuracies(clf, _single(pop, cost, kernel))
-        accept_all = Classifier.constant(pop.space, 1.0)
-        u_all = noisy_utility(accept_all, pop, kernel, cost)
+    q = effective_acceptance(clf, kernel)
+    br = noisy_best_response(clf, kernel, cost)
+    rep = subpop_accuracies(clf, _single(pop, cost, kernel))
+    accept_all = Classifier.constant(pop.space, 1.0)
+    u_all = noisy_utility(accept_all, pop, kernel, cost)
     q_err = float(np.max(np.abs(q - np.array([0.5, 1.0]))))
     return [
         _close("effective acceptance curve (max error vs (0.5, 1))", 0.0, q_err, exact),
@@ -267,8 +253,7 @@ def verify_projection_sweep(tol: float | None = None) -> list[Check]:
         cost = random_simple_cost(rng, space)
         f = random_classifier(rng, space)
         g = project_lipschitz(f, cost)
-        with _quiet():
-            margin = efficiency(g, pop, cost) - efficiency(f, pop, cost)
+        margin = efficiency(g, pop, cost) - efficiency(f, pop, cost)
         worst = min(worst, margin)
         if margin < -margin_tol:
             drops += 1
@@ -315,10 +300,8 @@ def verify_stability_sweep(tol: float | None = None) -> list[Check]:
         else:
             # Cost-covered optima routinely beat the deterministic optimum,
             # so they keep the implication from going vacuous.
-            with _quiet():
-                f = solve_efficiency_lp(pop, cost).classifier
-        with _quiet():
-            report = stability_check(f, pop, cost)
+            f = solve_efficiency_lp(pop, cost).classifier
+        report = stability_check(f, pop, cost)
         if report.u_f > report.u_det_star + gap_tol:
             positives += 1
             if report.equilibrium:
@@ -353,10 +336,9 @@ def verify_unfair_threshold(tol: float | None = None) -> list[Check]:
     inst = unfair_instance()
     disc = discretize_instance(inst, n=801)
     budget = tol if tol is not None else disc.tolerance
-    with _quiet():
-        tau_closed = noiseless_optimal_tau(inst)
-        sweep = threshold_sweep(disc.scenario)
-        report = _best_threshold(disc.scenario, sweep, "utility")
+    tau_closed = noiseless_optimal_tau(inst)
+    sweep = threshold_sweep(disc.scenario)
+    report = _best_threshold(disc.scenario, sweep, "utility")
     sub = report.details["report"]
     u_a, u_b = sub.utilities
     taus = np.array([p.tau for p in sweep])
@@ -408,14 +390,10 @@ def verify_fair_noisy(tol: float | None = None) -> list[Check]:
     budget = tol if tol is not None else disc.tolerance
     scen = disc.scenario
     clf = Classifier.threshold(scen.space, 0.0, strict=True)
-    with _quiet():
-        moves = [
-            int(noisy_best_response(clf, scen.kernel, fn).moved.sum())
-            for fn in scen.cost_fns
-        ]
-        sub = subpop_accuracies(clf, scen)
-        closed = noisy_fair_utility(inst)
-        best = solve_deterministic_noisy(scen)
+    moves = [int(noisy_best_response(clf, scen.kernel, fn).moved.sum()) for fn in scen.cost_fns]
+    sub = subpop_accuracies(clf, scen)
+    closed = noisy_fair_utility(inst)
+    best = solve_deterministic_noisy(scen)
     return [
         _holds(
             "no contestant in either group moves",
@@ -443,8 +421,7 @@ _NOISY_EXCESS_TIMES_D = 0.8227888756783959
 def verify_noise_benefit(tol: float | None = None) -> list[Check]:
     rel = tol if tol is not None else 1e-3
     inst = noise_benefit_instance()
-    with _quiet():
-        nb = compare_noise_benefit(inst)
+    nb = compare_noise_benefit(inst)
     excess_free = (nb.u_noiseless_star - 0.5) * inst.d
     excess_noisy = (nb.u_noisy_star - 0.5) * inst.d
 
@@ -454,12 +431,11 @@ def verify_noise_benefit(tol: float | None = None) -> list[Check]:
         ),
         n=801,
     )
-    with _quiet():
-        best_free = solve_deterministic_noisy(noiseless.scenario).objective
-        noisy = discretize_instance(inst, n=801)
-        u_noisy_sim = subpop_accuracies(
-            Classifier.threshold(noisy.scenario.space, 0.0, strict=True), noisy.scenario
-        ).utility
+    best_free = solve_deterministic_noisy(noiseless.scenario).objective
+    noisy = discretize_instance(inst, n=801)
+    u_noisy_sim = subpop_accuracies(
+        Classifier.threshold(noisy.scenario.space, 0.0, strict=True), noisy.scenario
+    ).utility
     return [
         _holds(
             "noise wins on the closed forms",
@@ -504,4 +480,9 @@ def run_reproduce(target: str, tol: float | None = None) -> ReproduceResult:
     if target not in TARGETS:
         known = ", ".join(sorted(TARGETS))
         raise KeyError(f"unknown reproduce target {target!r} (known: {known})")
-    return ReproduceResult(target=target, checks=tuple(TARGETS[target](tol)))
+    # Checks exercise knife-edge instances on purpose; silence the
+    # diagnostics so expected-vs-actual output stays clean.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", KnifeEdgeWarning)
+        warnings.simplefilter("ignore", RegimeWarning)
+        return ReproduceResult(target=target, checks=tuple(TARGETS[target](tol)))

@@ -109,7 +109,8 @@ def solve_efficiency_lp(
 
     The optimum is often a face, not a point; a second solve picks the most
     accepting vertex of that face, mirroring the permissive tie-break of
-    :func:`solve_deterministic`.
+    :func:`solve_deterministic`.  Should that solve fail, the first solve's
+    vertex is kept and ``details["tie_break_success"]`` is False.
     """
     if beta != 1.0:
         raise ValueError("the LP reduction is only valid at beta = 1; use grid_oracle")
@@ -163,7 +164,10 @@ def solve_efficiency_lp(
         classifier=clf,
         objective=value,
         method="lp",
-        details={"lp_objective": float(-res.fun + np.dot(pop.pi, 1.0 - pop.h))},
+        details={
+            "lp_objective": float(-res.fun + np.dot(pop.pi, 1.0 - pop.h)),
+            "tie_break_success": bool(tie.success),
+        },
     )
 
 

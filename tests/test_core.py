@@ -47,7 +47,7 @@ from stratclass import (
 )
 from stratclass.game import _target_indices
 from stratclass.model import ValidationError
-from stratclass.noise import _fast_threshold_targets
+from stratclass.noise import _fast_path_ok, _fast_threshold_targets
 from stratclass.scenario import noise_rebuilder
 from stratclass.sampling import (
     random_kernel,
@@ -138,12 +138,6 @@ class TestReferenceBestResponse:
         assert got.tolist() == [[0, 1], [0, 1]]
 
 
-def _takes_fast_path(costs: np.ndarray) -> bool:
-    # the condition threshold_sweep checks before using the fast path
-    rows_monotone = bool(np.all(np.diff(costs, axis=1) >= 0.0))
-    return rows_monotone and not np.any(np.abs(costs - 1.0) < KNIFE_EDGE_ATOL)
-
-
 class TestFastThresholdPath:
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -154,7 +148,8 @@ class TestFastThresholdPath:
     def test_matches_generic_path_at_every_cut(self, seed, n, eps):
         rng = np.random.default_rng(seed)
         space = random_space(rng, n)
-        costs = random_simple_cost(rng, space, scale=float(rng.uniform(0.05, 2.0))).costs
+        c = random_simple_cost(rng, space, scale=float(rng.uniform(0.05, 2.0)))
+        costs = c.costs
         upper = np.triu(np.ones((n, n), dtype=bool), k=1)
         if eps is not None and upper.any():
             # lift the upper triangle so one entry lands just beside the unit
@@ -162,12 +157,14 @@ class TestFastThresholdPath:
             below = costs[upper][costs[upper] < 1.0]
             if below.size:
                 lift = 1.0 - float(rng.choice(below)) + eps
-                costs = CostFunction(space, np.where(upper, costs + lift, 0.0)).costs
-        assume(_takes_fast_path(costs))
+                c = CostFunction(space, np.where(upper, costs + lift, 0.0))
+                costs = c.costs
+        # the condition threshold_sweep checks before using the fast path
+        assume(_fast_path_ok(c))
         for start in range(n + 1):
             probs = np.zeros(n)
             probs[start:] = 1.0
-            fast = _fast_threshold_targets(costs, start)
+            fast = _fast_threshold_targets(c, start)
             assert fast.tolist() == _quiet_targets(probs, costs).tolist()
             assert fast.tolist() == reference_targets(probs, costs)
 
@@ -218,10 +215,10 @@ class TestSeparableBestResponse:
         a = _ramp(rng, n)
         c = shift_cost(space, a)
         q = _separable_values(rng, space, a)
-        got, got_warned = _recorded(_target_indices, q, c.costs, c._a)
+        got, got_warned = _recorded(_target_indices, q, c)
         tabular = CostFunction(space, c.costs)
         assert tabular._a is None
-        generic, generic_warned = _recorded(_target_indices, q, tabular.costs, tabular._a)
+        generic, generic_warned = _recorded(_target_indices, q, tabular)
         assert got.tolist() == reference_targets(q, c.costs)
         assert got.tolist() == generic.tolist()
         assert got_warned == generic_warned
@@ -232,7 +229,7 @@ class TestSeparableBestResponse:
         c = shift_cost(space, [0.0, 0.0, 1.0, 1.0])
         one_less = np.nextafter(1.0, 0.0)
         q = np.array([0.2, 1.0, one_less, 1.0])
-        got, warned = _recorded(_target_indices, q, c.costs, c._a)
+        got, warned = _recorded(_target_indices, q, c)
         assert got.tolist() == [1, 1, 2, 3]
         assert len(warned) == 1 and "move 2 -> 1" in warned[0]
 
@@ -258,6 +255,45 @@ def test_sweep_matches_tabular_costs(sigma):
     expected, _ = _recorded(solve_deterministic_noisy, tabular)
     assert (solved.tau, solved.strict) == (expected.tau, expected.strict)
     assert solved.objective == expected.objective
+
+
+def _near_unit_rise(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A ramp with flat stretches and pairs whose rise is 1 or just beside it."""
+    a = _ramp(rng, n)
+    for _ in range(int(rng.integers(4))):
+        i = int(rng.integers(n))
+        rise = 1.0 + float(rng.choice([0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0])) * KNIFE_EDGE_ATOL
+        # the first j with a[j] - a[i] >= rise, or the top: shifting a[j:]
+        # onto a[i] + rise keeps a nondecreasing
+        j = min(int(np.searchsorted(a, a[i] + rise)), n - 1)
+        if j > i:
+            a[j:] += a[i] + rise - a[j]
+    return np.maximum.accumulate(a)  # in case a shift rounded an ulp low
+
+
+def _bits(points) -> list[str]:
+    """Every field of every point; a float's repr round-trips, sign of zero included."""
+    return [repr(dataclasses.astuple(p)) for p in points]
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 10))
+@settings(max_examples=300, deadline=None)
+def test_noiseless_sweep_matches_tabular_copies(seed, n):
+    rng = np.random.default_rng(seed)
+    space = FeatureSpace(np.arange(n, dtype=float))
+    share = float(rng.uniform(0.1, 0.9))
+    scen = SubpopulationScenario(
+        pop=random_population(rng, space),
+        shares=np.array([share, 1.0 - share]),
+        cost_fns=tuple(shift_cost(space, _near_unit_rise(rng, n)) for _ in range(2)),
+    )
+    got, got_warned = _recorded(threshold_sweep, scen)
+    tabular = dataclasses.replace(
+        scen, cost_fns=tuple(CostFunction(space, fn.costs) for fn in scen.cost_fns)
+    )
+    want, want_warned = _recorded(threshold_sweep, tabular)
+    assert _bits(got) == _bits(want)
+    assert got_warned == want_warned
 
 
 _SHIFT_KINDS = {
@@ -358,19 +394,21 @@ class TestSeparableStorage:
             sys.setswitchinterval(switch)
 
     def test_evaluation_builds_no_matrix(self):
-        inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=0.5)
-        scen = discretize_instance(inst, n=201).scenario
-        clf = Classifier.threshold(scen.space, 0.0, strict=True)
-        subpop_accuracies(clf, scen)
-        threshold_sweep(scen)
-        solve_deterministic_noisy(scen)
         text = (
             "gaussian_instance: {t: 1.0, d: 100.0, sigma_A: 0.5, sigma_B: 1.0, s_A: 0.25, n: 201}\n"
         )
-        row, row_clf = noise_rebuilder(parse_scenario(text))(0.5)
-        subpop_accuracies(row_clf, row)
-        for fn in scen.cost_fns + row.cost_fns:
-            assert "costs" not in fn.__dict__
+        for sigma in (0.0, 0.5):
+            inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=sigma)
+            scen = discretize_instance(inst, n=201).scenario
+            clf = Classifier.threshold(scen.space, 0.0, strict=True)
+            subpop_accuracies(clf, scen)
+            threshold_sweep(scen)
+            solve_deterministic_noisy(scen, "utility")
+            solve_deterministic_noisy(scen, "efficiency")
+            row, row_clf = noise_rebuilder(parse_scenario(text))(sigma)
+            subpop_accuracies(row_clf, row)
+            for fn in scen.cost_fns + row.cost_fns:
+                assert fn._a is not None and "costs" not in fn.__dict__
 
 
 # ------------------------------------------------------------ grid checks

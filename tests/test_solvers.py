@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import OptimizeResult
 
 from stratclass import (
     Classifier,
@@ -24,6 +25,7 @@ from stratclass import (
     solve_efficiency_lp,
     utility,
 )
+from stratclass import solvers
 from stratclass.solvers import LP_MAX_POINTS, ORACLE_MAX_POINTS, ORACLE_MAX_RESOLUTION
 from stratclass.sampling import (
     random_classifier,
@@ -158,6 +160,30 @@ class TestEfficiencyLP:
         pop, cost, _ = twopoint
         report = _quiet_best(solve_efficiency_lp, pop, cost)
         assert report.objective == _quiet_best(efficiency, report.classifier, pop, cost)
+
+    def test_reports_tie_break_success(self, twopoint):
+        pop, cost, _ = twopoint
+        assert _quiet_best(solve_efficiency_lp, pop, cost).details["tie_break_success"] is True
+
+    def test_failed_tie_break_keeps_first_vertex(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        space = random_space(rng, 9)
+        pop = random_population(rng, space)
+        cost = random_simple_cost(rng, space)
+        real = solvers.linprog
+        first = []
+
+        def second_call_fails(*args, **kwargs):
+            if first:
+                return OptimizeResult(success=False, x=None, status=4, message="forced")
+            first.append(real(*args, **kwargs))
+            return first[0]
+
+        monkeypatch.setattr(solvers, "linprog", second_call_fails)
+        report = _quiet_best(solve_efficiency_lp, pop, cost)
+        assert report.details["tie_break_success"] is False
+        vertex = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
+        assert np.array_equal(report.classifier.probs, vertex)
 
     def test_rejects_other_beta(self, twopoint):
         pop, cost, _ = twopoint
