@@ -50,6 +50,9 @@ __all__ = [
 
 _ROOT_2PI = math.sqrt(2.0 * math.pi)
 
+# Half-width of the discretized grid in units of sqrt(t^2 + sigma^2).
+_GRID_HALFWIDTH_MULT = 8.0
+
 # Points of the coarse sweep that checks the optimum's bracket is unimodal.
 _UNIMODALITY_SWEEP_POINTS = 512
 
@@ -116,10 +119,9 @@ class GaussianInstance:
 
 
 def _group_sigma(inst: GaussianInstance, which: str) -> float:
-    key = str(which).upper()
-    if key in ("A", "0"):
+    if which == "A":
         return inst.sigma_a
-    if key in ("B", "1"):
+    if which == "B":
         return inst.sigma_b
     raise ValidationError(f"which: expected 'A' or 'B', got {which!r}")
 
@@ -288,12 +290,10 @@ def _symmetric_grid(half_width: float, n: int) -> np.ndarray:
     return np.concatenate((-half[:0:-1], half))
 
 
-def discretize_instance(
-    inst: GaussianInstance, n: int = 401, grid_halfwidth_mult: float = 8.0
-) -> DiscretizedInstance:
+def discretize_instance(inst: GaussianInstance, n: int = 401) -> DiscretizedInstance:
     """Project the continuous instance onto an odd symmetric grid.
 
-    The grid spans [-L, L] with L = grid_halfwidth_mult * sqrt(t^2 + sigma^2)
+    The grid spans [-L, L] with L = 8 sqrt(t^2 + sigma^2)
     (wide enough that the truncated tail mass is negligible), contains 0
     exactly, and discretizes the feature density by integrating it over the
     cells between neighbouring midpoints.  Group costs use the linear family
@@ -309,9 +309,7 @@ def discretize_instance(
             f"n: {n} points need {dense_bytes / 1e9:.2f} GB of dense matrices; "
             f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
         )
-    if grid_halfwidth_mult <= 0:
-        raise ValidationError("grid_halfwidth_mult: must be positive")
-    half_width = grid_halfwidth_mult * math.hypot(inst.t, inst.sigma)
+    half_width = _GRID_HALFWIDTH_MULT * math.hypot(inst.t, inst.sigma)
     points = _symmetric_grid(half_width, n)
     space = FeatureSpace(points)
 

@@ -1,7 +1,6 @@
 """Command line front end: evaluate, solve, and sweep scenario files.
 
-Four subcommands share the flags ``--format {text,json,csv}``, ``--tol``
-and ``--threads``:
+Four subcommands share the flag ``--format {text,json,csv}``:
 
 * ``evaluate`` prints U, C, E (plus per-group accuracies and the gap when
   the scenario has subpopulations) for the file's classifier.
@@ -10,9 +9,9 @@ and ``--threads``:
   optimum is unstable against its own derandomization.
 * ``sweep`` re-evaluates the scenario along a parameter grid and streams
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply).
+  apply); ``--threads N`` (N >= 1) evaluates rows in parallel.
 * ``reproduce`` runs one of the built-in verification targets and maps
-  check failures to exit code 1.
+  check failures to exit code 1; ``--tol`` overrides its tolerances.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 usage, parse or
 validation errors.  All numbers are printed with 12 significant digits and
@@ -34,7 +33,7 @@ from .model import Classifier, SubpopulationScenario, ValidationError
 from .noise import solve_deterministic_noisy, subpop_accuracies
 from .reproduce import ReproduceResult, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
-from .solvers import solve_efficiency_lp
+from .solvers import LP_MAX_POINTS, solve_efficiency_lp
 
 __all__ = ["main"]
 
@@ -165,6 +164,11 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
             "the efficiency linear program solves a single population; "
             "merge the subpopulations or solve them separately"
         )
+    if scen.space.n > LP_MAX_POINTS:
+        raise CliError(
+            f"the efficiency linear program is capped at LP_MAX_POINTS = "
+            f"{LP_MAX_POINTS} grid points; this scenario has {scen.space.n}"
+        )
     rep = solve_efficiency_lp(scen.pop, scen.cost_fns[0])
     pairs = [("g", list(rep.classifier.probs)), ("E", rep.objective)]
     _emit_record(pairs, args.format, out)
@@ -238,6 +242,8 @@ def _sweep_row(value: float, scen: SubpopulationScenario, clf: Classifier) -> li
 
 
 def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
+    if args.threads < 1:
+        raise CliError(f"--threads needs at least 1, got {args.threads}")
     values = _parse_range(args.range)
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
@@ -321,18 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output encoding (sweep treats text as csv)",
     )
-    common.add_argument(
-        "--tol",
-        type=float,
-        default=None,
-        help="override the built-in comparison tolerances of reproduce checks",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker threads for sweeps; rows are emitted in parameter order",
-    )
 
     parser = argparse.ArgumentParser(
         prog="stratclass",
@@ -354,10 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file (YAML)")
     p.add_argument("--param", choices=("tau", "sigma", "s_A"), required=True)
     p.add_argument("--range", required=True, help="lo:hi:steps with steps >= 2")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1); rows keep their order")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a built-in verification target")
     p.add_argument("id", help="ex-3pt, ex-2pt, ex-noise, thm1-sweep, thm2-sweep, thm3, thm4, thm5")
+    p.add_argument("--tol", type=float, help="override the built-in check tolerances")
     p.set_defaults(func=cmd_reproduce)
 
     return parser

@@ -329,9 +329,6 @@ def strategy_cost(f: Classifier, pop: Population, c: CostFunction) -> float:
     return subpop_accuracies(f, _single(pop, c)).cost
 
 
-def efficiency(
-    f: Classifier, pop: Population, c: CostFunction, beta: float = 1.0
-) -> float:
-    """Utility minus ``beta`` times the cost of strategy, in one pass."""
-    rep = subpop_accuracies(f, _single(pop, c))
-    return rep.utility - beta * rep.cost
+def efficiency(f: Classifier, pop: Population, c: CostFunction) -> float:
+    """Utility minus the cost of strategy, in one pass."""
+    return subpop_accuracies(f, _single(pop, c)).efficiency

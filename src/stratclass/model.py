@@ -75,7 +75,7 @@ class FeatureSpace:
         pts = _frozen_array(self.points, "points")
         if pts.ndim != 1 or pts.size == 0:
             raise ValidationError("points: need a non-empty 1-d sequence")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if not np.all(pts[1:] > pts[:-1]):
             raise ValidationError("points: must be strictly increasing")
         object.__setattr__(self, "points", pts)
 
@@ -283,6 +283,12 @@ class CostFunction:
         c.flags.writeable = False
         object.__setattr__(self, "costs", c)
         return c
+
+    def __repr__(self) -> str:
+        # a separable cost shows its a, so printing it builds no n x n matrix
+        if self._a is None:
+            return f"CostFunction(space={self.space!r}, costs={self.costs!r})"
+        return f"CostFunction(space={self.space!r}, a={self._a!r})"
 
     def at(self, rows, cols) -> np.ndarray:
         """The entries ``costs[rows, cols]``, from ``a`` alone when separable."""

@@ -88,12 +88,11 @@ def noisy_efficiency(
     pop: Population,
     kernel: NoiseKernel | None,
     c: CostFunction,
-    beta: float = 1.0,
+    *,
     allow_randomized: bool = False,
 ) -> float:
-    """Accuracy minus ``beta`` times manipulation spend, through the channel."""
-    rep = subpop_accuracies(f, _single(pop, c, kernel), allow_randomized)
-    return rep.utility - beta * rep.cost
+    """Accuracy minus manipulation spend, through the channel."""
+    return subpop_accuracies(f, _single(pop, c, kernel), allow_randomized).efficiency
 
 
 @dataclass(frozen=True, eq=False)

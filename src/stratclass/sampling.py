@@ -28,15 +28,11 @@ def random_space(rng: np.random.Generator, n: int) -> FeatureSpace:
     return FeatureSpace(np.cumsum(steps))
 
 
-def random_population(
-    rng: np.random.Generator, space: FeatureSpace, monotone: bool = True
-) -> Population:
+def random_population(rng: np.random.Generator, space: FeatureSpace) -> Population:
     n = space.n
     pi = rng.dirichlet(np.ones(n))
-    h = rng.uniform(0.0, 1.0, size=n)
-    if monotone:
-        h = np.sort(h)
-    return Population(space, pi, h, allow_nonmonotone_h=not monotone)
+    h = np.sort(rng.uniform(0.0, 1.0, size=n))
+    return Population(space, pi, h)
 
 
 def random_simple_cost(
@@ -73,16 +69,11 @@ def random_dominating_pair(
     return high, low
 
 
-def random_classifier(
-    rng: np.random.Generator, space: FeatureSpace, deterministic: bool = False
-) -> Classifier:
-    if deterministic:
-        probs = rng.integers(0, 2, size=space.n).astype(float)
-    else:
-        probs = rng.uniform(0.0, 1.0, size=space.n)
-        # Exact ties and endpoints are where tie-break rules live; hit them.
-        snap = rng.random(space.n) < 0.25
-        probs[snap] = rng.choice([0.0, 0.5, 1.0], size=int(snap.sum()))
+def random_classifier(rng: np.random.Generator, space: FeatureSpace) -> Classifier:
+    probs = rng.uniform(0.0, 1.0, size=space.n)
+    # Exact ties and endpoints are where tie-break rules live; hit them.
+    snap = rng.random(space.n) < 0.25
+    probs[snap] = rng.choice([0.0, 0.5, 1.0], size=int(snap.sum()))
     return Classifier(space, probs)
 
 

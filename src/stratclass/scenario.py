@@ -209,11 +209,7 @@ def _build_classifier(
 
 
 def _build_instance(doc: _Doc, raw: Any, path: tuple):
-    sec = doc.section(
-        raw,
-        path,
-        {"t", "d", "sigma_A", "sigma_B", "s_A", "s_B", "sigma", "n", "grid_halfwidth_mult"},
-    )
+    sec = doc.section(raw, path, {"t", "d", "sigma_A", "sigma_B", "s_A", "s_B", "sigma", "n"})
     kwargs = dict(
         t=doc.number(doc.require(sec, path, "t"), path + ("t",)),
         d=doc.number(doc.require(sec, path, "d"), path + ("d",)),
@@ -230,9 +226,6 @@ def _build_instance(doc: _Doc, raw: Any, path: tuple):
         grid["n"] = sec["n"]
         if not isinstance(grid["n"], int) or isinstance(grid["n"], bool):
             raise doc.fail(path + ("n",), "n must be an integer")
-    if "grid_halfwidth_mult" in sec:
-        mult_path = path + ("grid_halfwidth_mult",)
-        grid["grid_halfwidth_mult"] = doc.number(sec["grid_halfwidth_mult"], mult_path)
     with doc.checked(path):
         inst = GaussianInstance(**kwargs)
         return inst, discretize_instance(inst, **grid)

@@ -8,7 +8,7 @@ Four solvers, in increasing generality:
 - ``project_lipschitz``: the cost-covering envelope of an arbitrary
   classifier; never worse on efficiency, and immune to gaming.
 - ``solve_efficiency_lp``: exact linear program for the best cost-covering
-  (hence best overall, at beta = 1) randomised classifier.
+  (hence best overall) randomised classifier.
 - ``grid_oracle``: brute force over a discretised classifier space, used to
   cross-check the others at desk scale.
 """
@@ -59,7 +59,7 @@ def project_lipschitz(f: Classifier, c: CostFunction) -> Classifier:
     """Cost-covering envelope g(x) = max_y f(y) - c(x, y).
 
     The result never rewards any strategic move (so nobody moves under it),
-    and at beta = 1 its efficiency is at least that of ``f``.  Applying the
+    and its efficiency is at least that of ``f``.  Applying the
     projection twice returns the same classifier.
     """
     _require_same_space(f, c)
@@ -96,24 +96,20 @@ def _snap_lipschitz(g: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return g
 
 
-def solve_efficiency_lp(
-    pop: Population, c: CostFunction, beta: float = 1.0
-) -> SolveReport:
+def solve_efficiency_lp(pop: Population, c: CostFunction) -> SolveReport:
     """Best cost-covering randomised classifier, by linear programming.
 
     Maximises expected accuracy over classifiers whose pairwise gains are all
     covered by the manipulation cost.  Under such a classifier nobody moves,
-    so the objective equals both utility and efficiency; for beta = 1 this is
-    the global efficiency optimum over **all** classifiers, randomised or
-    not.  For other beta the equivalence breaks; use :func:`grid_oracle`.
+    so the objective equals both utility and efficiency; this is the global
+    efficiency optimum over **all** classifiers, randomised or not.  For a
+    weighted objective U - beta C use :func:`grid_oracle`.
 
     The optimum is often a face, not a point; a second solve picks the most
     accepting vertex of that face, mirroring the permissive tie-break of
     :func:`solve_deterministic`.  Should that solve fail, the first solve's
     vertex is kept and ``details["tie_break_success"]`` is False.
     """
-    if beta != 1.0:
-        raise ValueError("the LP reduction is only valid at beta = 1; use grid_oracle")
     space = _require_same_space(pop, c)
     n = space.n
     if n > LP_MAX_POINTS:

@@ -83,6 +83,11 @@ class TestClosedForms:
         with pytest.raises(ValidationError, match="expected 'A' or 'B'"):
             noiseless_subpop_utility(0.0, inst, "C")
 
+    @pytest.mark.parametrize("which", ["a", "b", "0", "1", 0, 1])
+    def test_group_is_named_exactly(self, inst, which):
+        with pytest.raises(ValidationError, match="expected 'A' or 'B'"):
+            noiseless_subpop_utility(0.0, inst, which)
+
     def test_optimal_tau_degenerate_cases(self):
         same = GaussianInstance(t=1.0, d=100.0, sigma_a=0.7, sigma_b=0.7, s_a=0.3)
         assert noiseless_optimal_tau(same) == ROOT_2PI * 0.7
@@ -168,8 +173,8 @@ class TestDiscretize:
         assert pi[k] == pytest.approx(expected, rel=1e-12)
 
     def test_qualification_is_the_clamped_ramp(self):
-        inst = GaussianInstance(t=1.0, d=10.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25)
-        disc = discretize_instance(inst, n=201, grid_halfwidth_mult=12.0)
+        inst = GaussianInstance(t=1.0, d=8.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=1.0)
+        disc = discretize_instance(inst, n=201)
         pts = disc.scenario.space.points
         h = disc.scenario.pop.h
         assert np.array_equal(h, np.clip(pts / (2.0 * inst.d) + 0.5, 0.0, 1.0))

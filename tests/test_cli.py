@@ -8,6 +8,8 @@ import re
 import pytest
 
 from stratclass.cli import main
+from stratclass.reproduce import TARGETS
+from stratclass.solvers import LP_MAX_POINTS
 
 S1 = """\
 features: [1.0, 2.0, 3.0]
@@ -81,6 +83,14 @@ classifier:
 
 BAD_PI = S2.replace("pi: [0.5, 0.5]", "pi: [0.5, 0.4]")
 
+_N = LP_MAX_POINTS + 1
+OVER_LP_CAP = f"""\
+features: {[float(i) for i in range(_N)]}
+pi: {[1.0 / _N] * _N}
+h: {[i / (_N - 1) for i in range(_N)]}
+cost: {{kind: linear, sigma: 1.0}}
+"""
+
 
 @pytest.fixture()
 def files(tmp_path):
@@ -92,6 +102,7 @@ def files(tmp_path):
         "s3": S3,
         "grouped": GROUPED,
         "badpi": BAD_PI,
+        "overcap": OVER_LP_CAP,
     }
     paths = {}
     for name, text in texts.items():
@@ -206,6 +217,15 @@ class TestSolve:
         assert rc == 2
         assert "single population" in err
 
+    def test_efficiency_randomized_over_the_lp_cap(self, files, capsys):
+        rc, out, err = run(capsys, "solve", files["overcap"], "--objective", "efficiency", "--mode", "randomized")
+        assert rc == 2
+        assert out == ""
+        assert err == (
+            f"error: the efficiency linear program is capped at LP_MAX_POINTS = "
+            f"{LP_MAX_POINTS} grid points; this scenario has {_N}\n"
+        )
+
     def test_efficiency_deterministic(self, files, capsys):
         rc, out, _ = run(capsys, "solve", files["grouped"], "--objective", "efficiency", "--mode", "deterministic")
         assert rc == 0
@@ -265,6 +285,15 @@ class TestSweep:
         rc4, out4, _ = run(capsys, *args, "--threads", "4")
         assert rc1 == rc4 == 0
         assert out1 == out4
+
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_refused(self, files, capsys, threads):
+        rc, out, err = run(
+            capsys, "sweep", files["s2"], "--param", "tau", "--range", "0.5:2:2", "--threads", threads
+        )
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --threads needs at least 1, got {threads}\n"
 
     def test_reruns_byte_identical(self, files, capsys):
         args = ("sweep", files["grouped"], "--param", "s_A", "--range", "0.1:0.9:7")
@@ -346,6 +375,42 @@ class TestReproduce:
         rc, out, _ = run(capsys, "reproduce", "thm4", "--tol", "1e-300")
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("target", sorted(TARGETS))
+    def test_every_target_passes(self, capsys, target):
+        rc, out, err = run(capsys, "reproduce", target)
+        assert rc == 0
+        assert re.fullmatch(rf"{target}: pass \((\d+)/\1 checks\)", out.splitlines()[-1])
+        assert err == ""
+
+
+class TestFlagScope:
+    """Each flag belongs to the one subcommand that reads it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("evaluate", "s2", "--threads", "2"),
+            ("solve", "s2", "--objective", "utility", "--mode", "deterministic", "--threads", "2"),
+            ("reproduce", "ex-2pt", "--threads", "2"),
+            ("evaluate", "s2", "--tol", "1e-3"),
+            ("solve", "s2", "--objective", "utility", "--mode", "deterministic", "--tol", "1e-3"),
+            ("sweep", "s2", "--param", "tau", "--range", "0.5:2:2", "--tol", "1e-3"),
+        ],
+    )
+    def test_flag_on_another_command_is_a_usage_error(self, files, capsys, argv):
+        argv = [files.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "unrecognized arguments" in err
+
+    def test_reproduce_takes_tol(self, capsys):
+        rc, out, _ = run(capsys, "reproduce", "ex-2pt", "--tol", "1e-3")
+        assert rc == 0
+        assert "(atol 0.001)" in out
 
 
 INSTANCE = """\

@@ -362,6 +362,13 @@ class TestSeparableStorage:
         assert np.array_equal(got.view(np.uint64), want)
         assert c.costs is got and not got.flags.writeable
 
+    def test_repr_builds_no_matrix(self):
+        c = shift_cost(FeatureSpace(np.arange(3.0)), [0.0, 0.5, 2.0])
+        assert "a=array([0. , 0.5, 2. ])" in repr(c)
+        assert "costs" not in c.__dict__
+        tab = random_simple_cost(np.random.default_rng(1), FeatureSpace(np.arange(3.0)))
+        assert "costs=array(" in repr(tab)
+
     def test_tabular_entries_are_the_matrix(self):
         c = random_simple_cost(np.random.default_rng(1), FeatureSpace(np.arange(6.0)))
         rows, cols = np.random.default_rng(2).integers(6, size=(2, 20))

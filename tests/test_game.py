@@ -123,12 +123,9 @@ class TestPayoffs:
         assert strategy_cost(clf, pop, cost) == 0.0
         assert efficiency(clf, pop, cost) == 0.75
 
-    def test_efficiency_is_utility_minus_beta_cost(self, threepoint):
+    def test_efficiency_is_utility_minus_cost(self, threepoint):
         pop, cost, clf = threepoint
-        u = utility(clf, pop, cost)
-        k = strategy_cost(clf, pop, cost)
-        assert efficiency(clf, pop, cost, beta=0.0) == u
-        assert efficiency(clf, pop, cost, beta=2.0) == pytest.approx(u - 2.0 * k, abs=1e-15)
+        assert efficiency(clf, pop, cost) == utility(clf, pop, cost) - strategy_cost(clf, pop, cost)
 
     def test_accept_everyone_baseline(self):
         space = FeatureSpace([0.0, 1.0, 2.0])

@@ -48,6 +48,12 @@ class TestFeatureSpace:
         with pytest.raises(ValidationError):
             FeatureSpace([0.0, np.inf])
 
+    def test_order_check_does_not_overflow(self):
+        # the suite turns RuntimeWarning into errors; np.diff would overflow here
+        assert FeatureSpace([-1e308, 1e308]).n == 2
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            FeatureSpace([1e308, -1e308])
+
     def test_points_are_read_only(self):
         space = FeatureSpace([0.0, 1.0])
         with pytest.raises(ValueError):

@@ -364,6 +364,17 @@ class TestRefusedDocuments:
         first, second = parse_scenario(text).scenario.cost_fns
         assert np.array_equal(first.costs, second.costs)
 
+    def test_grid_multiplier_is_not_a_field(self, tmp_path, capsys):
+        text = INSTANCE + "  grid_halfwidth_mult: 12.0\n"
+        where = "line 8: gaussian_instance.grid_halfwidth_mult: unknown field"
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(where)
+        path = tmp_path / "mult.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 2
+        assert where in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "old, new, where",
         [

@@ -185,11 +185,6 @@ class TestEfficiencyLP:
         vertex = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
         assert np.array_equal(report.classifier.probs, vertex)
 
-    def test_rejects_other_beta(self, twopoint):
-        pop, cost, _ = twopoint
-        with pytest.raises(ValueError, match="beta = 1"):
-            solve_efficiency_lp(pop, cost, beta=0.5)
-
     def test_size_cap(self):
         n = LP_MAX_POINTS + 1
         space = FeatureSpace(np.arange(n, dtype=float))
