@@ -24,6 +24,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import (
+    DENSE_BYTES_LIMIT,  # re-exported: README and tests name analytic.DENSE_BYTES_LIMIT
     CostFunction,
     FeatureSpace,
     NoiseKernel,
@@ -31,6 +32,7 @@ from .model import (
     SubpopulationScenario,
     ValidationError,
     _cell_edges,
+    _require_dense_fits,
     shift_cost,
 )
 
@@ -55,10 +57,6 @@ _GRID_HALFWIDTH_MULT = 8.0
 
 # Points of the coarse sweep that checks the optimum's bracket is unimodal.
 _UNIMODALITY_SWEEP_POINTS = 512
-
-# Bytes the n x n matrices of a discretized instance (two group costs, plus the
-# kernel when noisy) may take: n = 6401 with noise (0.98 GB) fits, 20001 does not.
-DENSE_BYTES_LIMIT = 2 * 2**30
 
 
 class RegimeWarning(UserWarning):
@@ -303,12 +301,7 @@ def discretize_instance(inst: GaussianInstance, n: int = 401) -> DiscretizedInst
     """
     if n < 201 or n % 2 == 0:
         raise ValidationError("n: need an odd grid size of at least 201")
-    dense_bytes = 8 * n * n * (3 if inst.sigma > 0 else 2)
-    if dense_bytes > DENSE_BYTES_LIMIT:
-        raise ValidationError(
-            f"n: {n} points need {dense_bytes / 1e9:.2f} GB of dense matrices; "
-            f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
-        )
+    _require_dense_fits(n, 3 if inst.sigma > 0 else 2)
     half_width = _GRID_HALFWIDTH_MULT * math.hypot(inst.t, inst.sigma)
     points = _symmetric_grid(half_width, n)
     space = FeatureSpace(points)

@@ -56,8 +56,6 @@ def _round12(value: float) -> float:
 def _jsonable(value: Any) -> Any:
     if isinstance(value, bool):
         return value
-    if isinstance(value, (int, np.integer)):
-        return int(value)
     if isinstance(value, (float, np.floating)):
         return _round12(value)
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -71,8 +69,6 @@ def _cell(value: Any) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, (float, np.floating)):
         return _fmt(value)
     if isinstance(value, (list, tuple, np.ndarray)):

@@ -42,9 +42,14 @@ __all__ = [
 
 # Probability masses, shares, and kernel rows must close to this precision.
 PROB_ATOL = 1e-12
-# Default absolute tolerance for cost and probability comparisons.
+# Absolute tolerance of the cost axioms (CostFunction, validate_simple_cost).
 COST_ATOL = 1e-9
+# Slack allowed in is_lipschitz's f(x') - f(x) <= c(x, x').
 LIPSCHITZ_ATOL = 1e-9
+# Bytes the n x n float64 matrices one build keeps may take: a discretized
+# instance's two group costs plus its kernel at n = 6401 (0.98 GB) fit, and a
+# kernel at n = 20001 (3.2 GB) does not.
+DENSE_BYTES_LIMIT = 2 * 2**30
 
 
 class ValidationError(ValueError):
@@ -61,8 +66,23 @@ def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
 
 def _cell_edges(points: np.ndarray) -> np.ndarray:
     """Cell boundaries for a grid: midpoints between neighbours, open ends."""
-    mids = (points[1:] + points[:-1]) / 2.0
+    lo, hi = points[:-1], points[1:]
+    with np.errstate(over="ignore"):
+        mids = (hi + lo) / 2.0
+    # near the float maximum the sum overflows; there halving is exact
+    big = np.isinf(mids)
+    mids[big] = hi[big] / 2.0 + lo[big] / 2.0
     return np.concatenate(([-np.inf], mids, [np.inf]))
+
+
+def _require_dense_fits(n: int, matrices: int) -> None:
+    """Refuse, before allocating, ``matrices`` n x n arrays beyond DENSE_BYTES_LIMIT."""
+    need = 8 * n * n * matrices
+    if need > DENSE_BYTES_LIMIT:
+        raise ValidationError(
+            f"n: {n} points need {need / 1e9:.2f} GB of dense matrices; "
+            f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,9 +193,7 @@ def _qualified_order(n: int, h: np.ndarray | None) -> np.ndarray:
     return (hi > hj) | ((hi == hj) & (idx[:, None] >= idx[None, :]))
 
 
-def validate_simple_cost(
-    costs: np.ndarray, h: np.ndarray | None, atol: float = COST_ATOL
-) -> list[CostViolation]:
+def validate_simple_cost(costs: np.ndarray, h: np.ndarray | None) -> list[CostViolation]:
     """Check a raw cost matrix against the five simple-cost axioms.
 
     1. costs are nonnegative;
@@ -185,8 +203,9 @@ def validate_simple_cost(
        1 to 3, checked anyway);
     5. moving from a better qualified source is never dearer (also implied).
 
-    Returns an empty list iff the matrix is simple.  Axioms 4 and 5 report
-    adjacent-pair witnesses along the qualification order.
+    Entries are compared to within ``COST_ATOL``.  Returns an empty list iff
+    the matrix is simple.  Axioms 4 and 5 report adjacent-pair witnesses
+    along the qualification order.
     """
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
@@ -198,18 +217,18 @@ def validate_simple_cost(
             raise ValidationError(f"h: expected {n} entries, got {h.shape}")
     out: list[CostViolation] = []
 
-    for i, j in zip(*np.nonzero(costs < -atol)):
+    for i, j in zip(*np.nonzero(costs < -COST_ATOL)):
         out.append(CostViolation(1, "nonnegative", (int(i), int(j)), float(-costs[i, j])))
 
     order = _qualified_order(n, h)
-    free = order & (np.abs(costs) > atol)
+    free = order & (np.abs(costs) > COST_ATOL)
     for i, j in zip(*np.nonzero(free)):
         out.append(CostViolation(2, "free-downward", (int(i), int(j)), float(abs(costs[i, j]))))
 
     # Sub-additivity, chunked over the intermediate point to stay vectorised.
     for j in range(n):
         slack = costs - (costs[:, j : j + 1] + costs[j : j + 1, :])
-        for i, k in zip(*np.nonzero(slack > atol)):
+        for i, k in zip(*np.nonzero(slack > COST_ATOL)):
             out.append(
                 CostViolation(3, "subadditive", (int(i), int(j), int(k)), float(slack[i, k]))
             )
@@ -222,11 +241,11 @@ def validate_simple_cost(
         perm = np.lexsort((np.arange(n), h))
     ordered = costs[:, perm][perm, :]
     drop = ordered[:, :-1] - ordered[:, 1:]
-    for i, p in zip(*np.nonzero(drop > atol)):
+    for i, p in zip(*np.nonzero(drop > COST_ATOL)):
         lo, hi_ = int(perm[p]), int(perm[p + 1])
         out.append(CostViolation(4, "destination-monotone", (int(perm[i]), lo, hi_), float(drop[i, p])))
     rise = ordered[1:, :] - ordered[:-1, :]
-    for p, k in zip(*np.nonzero(rise > atol)):
+    for p, k in zip(*np.nonzero(rise > COST_ATOL)):
         lo, hi_ = int(perm[p]), int(perm[p + 1])
         out.append(CostViolation(5, "source-antitone", (lo, hi_, int(perm[k])), float(rise[p, k])))
 
@@ -240,10 +259,10 @@ class CostFunction:
     Construction enforces the cheap axioms directly: entries are nonnegative
     and every move to a weakly lower grid point is free (tiny numerical dust
     on those entries is canonicalised to exact zero).  Sub-additivity is the
-    caller's responsibility; run :func:`validate_simple_cost` or
-    :meth:`simple_violations` for the full certificate.  A separable cost
-    (:func:`shift_cost`) is stored as its ``a`` alone: ``costs`` is built on
-    first read, and :meth:`at` serves entries without it.
+    caller's responsibility; run :func:`validate_simple_cost` on ``costs``
+    for the full certificate.  A separable cost (:func:`shift_cost`) is
+    stored as its ``a`` alone: ``costs`` is built on first read, and
+    :meth:`at` serves entries without it.
     """
 
     space: FeatureSpace
@@ -299,9 +318,6 @@ class CostFunction:
     @property
     def n(self) -> int:
         return self.space.n
-
-    def simple_violations(self, h: np.ndarray | None = None, atol: float = COST_ATOL):
-        return validate_simple_cost(self.costs, h, atol)
 
 
 def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
@@ -359,11 +375,11 @@ class Classifier:
         return cls(space, np.full(space.n, float(value)))
 
 
-def is_lipschitz(f: Classifier, c: CostFunction, tol: float = LIPSCHITZ_ATOL) -> bool:
+def is_lipschitz(f: Classifier, c: CostFunction) -> bool:
     """True iff every pairwise gain is covered by its cost: f(x')-f(x) <= c(x,x')."""
     _require_same_space(f, c)
     p = f.probs
-    return bool(np.all(p[None, :] - p[:, None] <= c.costs + tol))
+    return bool(np.all(p[None, :] - p[:, None] <= c.costs + LIPSCHITZ_ATOL))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,9 +427,11 @@ class NoiseKernel:
             raise ValidationError("sigma: must be nonnegative")
         if sigma == 0:
             return cls.identity(space)
+        _require_dense_fits(space.n, 1)
         edges = _cell_edges(space.points)
-        z = edges[None, :] - space.points[:, None]
-        z /= sigma
+        with np.errstate(over="ignore"):  # a z beyond the float range is its limit, inf
+            z = edges[None, :] - space.points[:, None]
+            z /= sigma
         # in place, to keep one n x n temporary; ndtr(-inf) and ndtr(inf)
         # are exactly 0 and 1, so the open outer cells close exactly
         cdf = ndtr(z, out=z)

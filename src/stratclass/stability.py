@@ -18,7 +18,6 @@ from .model import Classifier, CostFunction, Population
 from .solvers import solve_deterministic
 
 __all__ = [
-    "PooledMass",
     "DeviationReport",
     "StabilityCheck",
     "pooled_mass",
@@ -28,17 +27,8 @@ __all__ = [
     "stability_check",
 ]
 
-
-@dataclass(frozen=True, eq=False)
-class PooledMass:
-    """Signed accuracy mass pooled at each grid point after best response."""
-
-    mass: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.mass)
-        arr.flags.writeable = False
-        object.__setattr__(self, "mass", arr)
+# Pooled mass within this distance of zero counts as no profitable change.
+_EQUILIBRIUM_ATOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,8 +50,8 @@ class StabilityCheck:
     violations: tuple[str, ...]
 
 
-def pooled_mass(f: Classifier, pop: Population, c: CostFunction) -> PooledMass:
-    """m(y) = sum of pi(x) (2 h(x) - 1) over contestants pooling at y."""
+def pooled_mass(f: Classifier, pop: Population, c: CostFunction) -> np.ndarray:
+    """m(y) = sum of pi(x) (2 h(x) - 1) over contestants pooling at y, read-only."""
     br = best_response(f, c)
     mass = np.zeros(pop.n)
     np.add.at(mass, br.target, pop.pi * (2.0 * pop.h - 1.0))
@@ -70,7 +60,8 @@ def pooled_mass(f: Classifier, pop: Population, c: CostFunction) -> PooledMass:
     total = float(np.dot(pop.pi, 2.0 * pop.h - 1.0))
     if abs(float(mass.sum()) - total) > 1e-12:
         raise RuntimeError(f"pooled mass sums to {float(mass.sum())!r}, expected {total!r}")
-    return PooledMass(mass=mass)
+    mass.flags.writeable = False
+    return mass
 
 
 def best_deviation(f: Classifier, pop: Population, c: CostFunction) -> DeviationReport:
@@ -82,7 +73,7 @@ def best_deviation(f: Classifier, pop: Population, c: CostFunction) -> Deviation
     zero exactly at equilibrium.  (The pooling itself may shift once the new
     classifier is published; this is the one-step audit, not a fixed point.)
     """
-    m = pooled_mass(f, pop, c).mass
+    m = pooled_mass(f, pop, c)
     g = f.probs.copy()
     g[m > 0] = 1.0
     g[m < 0] = 0.0
@@ -90,18 +81,17 @@ def best_deviation(f: Classifier, pop: Population, c: CostFunction) -> Deviation
     return DeviationReport(g=Classifier(f.space, g), gain=gain)
 
 
-def is_equilibrium(
-    f: Classifier, pop: Population, c: CostFunction, tol: float = 1e-9
-) -> bool:
-    """No acceptance probability can be profitably changed, to within tol.
+def is_equilibrium(f: Classifier, pop: Population, c: CostFunction) -> bool:
+    """No acceptance probability can be profitably changed, to within 1e-9.
 
-    Interior probabilities require |m| <= tol; at the boundaries only the
+    Interior probabilities require |m| <= 1e-9; at the boundaries only the
     inward direction is available, so f = 1 tolerates positive mass and
     f = 0 tolerates negative mass.  Boundary classification is exact: a
     probability one ulp inside counts as interior.
     """
-    m = pooled_mass(f, pop, c).mass
+    m = pooled_mass(f, pop, c)
     p = f.probs
+    tol = _EQUILIBRIUM_ATOL
     ok_interior = np.abs(m) <= tol
     ok = np.where(p == 1.0, m >= -tol, np.where(p == 0.0, m <= tol, ok_interior))
     return bool(np.all(ok))
@@ -117,12 +107,7 @@ def derandomize(f: Classifier) -> Classifier:
     return Classifier(f.space, (f.probs == 1.0).astype(float))
 
 
-def stability_check(
-    f: Classifier,
-    pop: Population,
-    c: CostFunction,
-    tol: float = 1e-9,
-) -> StabilityCheck:
+def stability_check(f: Classifier, pop: Population, c: CostFunction) -> StabilityCheck:
     """Audit ``f``: equilibrium status and the claims equilibria must satisfy.
 
     A classifier that outperforms the deterministic optimum is expected to
@@ -132,7 +117,7 @@ def stability_check(
     """
     u_f = utility(f, pop, c)
     det = solve_deterministic(pop, c)
-    eq = is_equilibrium(f, pop, c, tol=tol)
+    eq = is_equilibrium(f, pop, c)
     violations: list[str] = []
     u_derand: float | None = None
     if eq:

@@ -83,6 +83,15 @@ classifier:
 
 BAD_PI = S2.replace("pi: [0.5, 0.5]", "pi: [0.5, 0.4]")
 
+NEAR_FLOAT_MAX = """\
+features: [1.0e+308, 1.7e+308]
+pi: [0.5, 0.5]
+h: [0.0, 1.0]
+cost: {kind: tabular, matrix: [[0.0, 5.0], [0.0, 0.0]]}
+noise: {kind: gaussian, sigma: 1.0}
+classifier: {kind: threshold, tau: 1.5e+308}
+"""
+
 _N = LP_MAX_POINTS + 1
 OVER_LP_CAP = f"""\
 features: {[float(i) for i in range(_N)]}
@@ -102,6 +111,7 @@ def files(tmp_path):
         "s3": S3,
         "grouped": GROUPED,
         "badpi": BAD_PI,
+        "nearmax": NEAR_FLOAT_MAX,
         "overcap": OVER_LP_CAP,
     }
     paths = {}
@@ -156,6 +166,12 @@ class TestEvaluate:
         assert rc == 0
         assert out == "U=0.75\nC=0\nE=0.75\n"
 
+    def test_noise_on_a_grid_near_the_float_maximum(self, files, capsys):
+        # the noiseless answer: a unit sigma cannot blur points 7e307 apart
+        rc, out, _ = run(capsys, "evaluate", files["nearmax"])
+        assert rc == 0
+        assert out == "U=1\nC=0\nE=1\n"
+
     def test_missing_classifier(self, files, capsys):
         rc, out, err = run(capsys, "evaluate", files["s2noclf"])
         assert rc == 2
@@ -207,6 +223,14 @@ class TestSolve:
         assert rc == 0
         assert json.loads(out) == {"g": [0.5, 1.0], "E": 0.75}
 
+    def test_efficiency_randomized_csv_joins_g(self, files, capsys):
+        rc, out, _ = run(
+            capsys, "solve", files["s2"], "--objective", "efficiency", "--mode", "randomized",
+            "--format", "csv",
+        )
+        assert rc == 0
+        assert out == "g,E\n0.5;1,0.75\n"
+
     def test_efficiency_randomized_noise_rejected(self, files, capsys):
         rc, _, err = run(capsys, "solve", files["s3"], "--objective", "efficiency", "--mode", "randomized")
         assert rc == 2
@@ -235,6 +259,14 @@ class TestSolve:
         rc, out, _ = run(capsys, "solve", files["s3"], "--objective", "efficiency", "--mode", "deterministic")
         assert rc == 0
         assert out == "tau=1\nstrict=true\nE=0.75\n"
+
+    def test_efficiency_deterministic_json_keeps_the_bool(self, files, capsys):
+        rc, out, _ = run(
+            capsys, "solve", files["s3"], "--objective", "efficiency", "--mode", "deterministic",
+            "--format", "json",
+        )
+        assert rc == 0
+        assert out == '{\n  "tau": 1.0,\n  "strict": true,\n  "E": 0.75\n}\n'
 
 
 class TestSweep:
@@ -367,6 +399,22 @@ class TestReproduce:
         lines = out.splitlines()
         assert lines[0] == "name,expected,actual,passed"
         assert all(line.endswith(",true") for line in lines[1:])
+
+    def test_csv_quotes_cells_that_hold_commas(self, capsys):
+        rc, out, _ = run(capsys, "reproduce", "thm3", "--format", "csv")
+        assert rc == 0
+        assert out == (
+            "name,expected,actual,passed\n"
+            'optimal threshold serves the minority group worse,U_A < U_B,'
+            '"U_A=0.502298898034, U_B=0.503902548857",true\n'
+            "accuracy gap clears the discretization budget,> 0.00019975,0.00160365082299,true\n"
+            "optimal threshold sits nearer the majority's ideal point,closer to B than to A,"
+            '"|tau-peak_A|=1.02668586268, |tau-peak_B|=0.226628274631",true\n'
+            "simulated optimum matches the closed form within two grid steps,|diff| <= 0.04,"
+            "|2.28 - 2.30056653525| = 0.0206,true\n"
+            "simulated sweep tracks the closed-form sweep pointwise,"
+            "max error <= 0.00019975,3.47279e-05,true\n"
+        )
 
     def test_tol_override_can_fail(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "ex-noise", "--tol", "1e-300")

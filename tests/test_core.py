@@ -5,13 +5,14 @@ is the reference every fast path is checked against; the separable-cost
 path must also repeat the generic path's knife-edge warning word for word.
 The payoff wrappers must all reject objects on another grid; the threshold
 scan serves both objectives; and imports run one way, so no module imports
-inside a function.
+inside a function.  Every function the benchmark traces must still exist.
 """
 
 from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 import sys
 import threading
 import warnings
@@ -528,3 +529,26 @@ def test_cli_reads_no_scenario_source():
         if isinstance(node, ast.Attribute) and node.attr == "source"
     ]
     assert reads == []
+
+
+def test_benchmark_traced_names_resolve():
+    # a traced benchmark run reports correct: false for a name it cannot find,
+    # so a rename must fail here first; the file is parsed, never executed
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    (table,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.AnnAssign) and getattr(node.target, "id", None) == "TARGETS"
+    ]
+    pairs = [(row.elts[1].value, row.elts[2].value) for row in table.elts]
+    assert ("stability", "pooled_mass") in pairs
+    missing = []
+    for module, attr_path in pairs:
+        owner = importlib.import_module(f"stratclass.{module}")
+        *outer, attr = attr_path.split(".")
+        for part in outer:
+            owner = getattr(owner, part, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{module}.{attr_path}")
+    assert missing == []

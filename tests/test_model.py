@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +21,7 @@ from stratclass import (
     shift_cost,
     validate_simple_cost,
 )
+from stratclass import model
 from stratclass.sampling import (
     random_dominating_pair,
     random_population,
@@ -107,7 +110,7 @@ class TestCostFunction:
         assert c.costs[0, 2] == pytest.approx(1.0, abs=0)
         assert c.costs[1, 2] == pytest.approx(0.7)
         assert np.all(c.costs[np.tril_indices(3)] == 0.0)
-        assert c.simple_violations() == []
+        assert validate_simple_cost(c.costs, None) == []
 
     def test_shift_cost_requires_nondecreasing(self):
         space = FeatureSpace([0.0, 1.0])
@@ -151,7 +154,7 @@ class TestSimpleCostAxioms:
         space = random_space(rng, n)
         pop = random_population(rng, space)
         cost = random_simple_cost(rng, space)
-        assert cost.simple_violations(pop.h) == []
+        assert validate_simple_cost(cost.costs, pop.h) == []
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -160,8 +163,8 @@ class TestSimpleCostAxioms:
         space = random_space(rng, n)
         high, low = random_dominating_pair(rng, space)
         assert np.all(high.costs >= low.costs)
-        assert high.simple_violations() == []
-        assert low.simple_violations() == []
+        assert validate_simple_cost(high.costs, None) == []
+        assert validate_simple_cost(low.costs, None) == []
 
 
 class TestClassifier:
@@ -219,6 +222,27 @@ class TestNoiseKernel:
         space = FeatureSpace([0.0, 1.0])
         with pytest.raises(ValidationError):
             NoiseKernel.gaussian(space, -1.0)
+
+    @pytest.mark.parametrize("points", [[1.0e308, 1.7e308], [-1.7e308, 1.6e308, 1.7e308]])
+    def test_gaussian_grid_near_the_float_maximum(self, points):
+        # a unit sigma cannot blur points ~1e307 apart; an overflowing
+        # midpoint would put both first cells at +inf
+        k = NoiseKernel.gaussian(FeatureSpace(points), 1.0)
+        assert np.array_equal(k.rows, np.eye(len(points)))
+
+    def test_gaussian_refused_before_any_n_by_n_allocation(self, monkeypatch):
+        class PastGuard(Exception):
+            pass
+
+        def stop(points):
+            raise PastGuard
+
+        monkeypatch.setattr(model, "_cell_edges", stop)
+        n = math.isqrt(model.DENSE_BYTES_LIMIT // 8)  # the largest kernel that fits
+        with pytest.raises(PastGuard):
+            NoiseKernel.gaussian(FeatureSpace(np.arange(float(n))), 1.0)
+        with pytest.raises(ValidationError, match=rf"^n: {n + 1} points need .* GB"):
+            NoiseKernel.gaussian(FeatureSpace(np.arange(n + 1.0)), 1.0)
 
 
 class TestSubpopulationScenario:

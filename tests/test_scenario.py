@@ -19,6 +19,7 @@ from stratclass import (
     subpop_accuracies,
     threshold_sweep,
 )
+from stratclass import model
 from stratclass.cli import main
 from stratclass.scenario import noise_rebuilder
 
@@ -150,6 +151,20 @@ cost:
         # Default classifier: the strict zero cut.
         pts = loaded.scenario.space.points
         assert np.array_equal(loaded.classifier.probs, (pts > 0.0).astype(float))
+
+    def test_instance_share_of_b(self, tmp_path, capsys):
+        # s_B may be given, and must close the shares with s_A = 0.25
+        good, bad = tmp_path / "good.yaml", tmp_path / "bad.yaml"
+        good.write_text(INSTANCE + "  s_B: 0.75\n")
+        bad.write_text(INSTANCE + "  s_B: 0.7\n")
+        assert parse_scenario(good.read_text()).instance.s_b == 0.75
+        assert main(["evaluate", str(good)]) == 0
+        assert capsys.readouterr().out == (
+            "U=0.500661743828\nC=0.0844462399253\nE=0.416215503902\n"
+            "U_A=0.502036799557\nU_B=0.500203391918\ngap=0.0018334076389\n"
+        )
+        assert main(["evaluate", str(bad)]) == 2
+        assert capsys.readouterr() == ("", "error: line 2: gaussian_instance: shares must sum to 1\n")
 
 
 class TestDiagnostics:
@@ -395,3 +410,36 @@ class TestRefusedDocuments:
         path.write_text(text)
         assert main(["evaluate", str(path)]) == 2
         assert f"{where}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.fixture()
+    def kernel_limit(self, monkeypatch):
+        """A limit one byte below a three-point kernel; no n x n array gets built."""
+
+        def stop(points):
+            raise AssertionError("a refused kernel reached its cell edges")
+
+        monkeypatch.setattr(model, "DENSE_BYTES_LIMIT", 8 * 3 * 3 - 1)
+        monkeypatch.setattr(model, "_cell_edges", stop)
+
+    def test_oversized_kernel_refused_at_its_section(self, kernel_limit, tmp_path, capsys):
+        text = LINEAR.replace("classifier:", "noise: {kind: gaussian, sigma: 1.0}\nclassifier:")
+        where = "line 5: noise: n: 3 points need"
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(where)
+        path = tmp_path / "noisy.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}")
+
+    def test_oversized_kernel_refused_on_every_sigma_row(self, kernel_limit, tmp_path, capsys):
+        rebuild = noise_rebuilder(parse_scenario(LINEAR))
+        for sigma in (0.25, 0.5, 1.0):
+            with pytest.raises(ValidationError, match=r"^n: 3 points need .* GB"):
+                rebuild(sigma)
+        path = tmp_path / "linear.yaml"
+        path.write_text(LINEAR)
+        assert main(["sweep", str(path), "--param", "sigma", "--range", "0.5:1:3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: n: 3 points need")

@@ -185,6 +185,14 @@ class TestEfficiencyLP:
         vertex = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
         assert np.array_equal(report.classifier.probs, vertex)
 
+    @pytest.mark.parametrize("h, accept", [(0.25, 0.0), (0.75, 1.0)])
+    def test_one_point_has_no_constraint_rows(self, h, accept):
+        space = FeatureSpace([0.5])
+        report = solve_efficiency_lp(Population(space, [1.0], [h]), CostFunction(space, [[0.0]]))
+        assert report.classifier.probs.tolist() == [accept]
+        assert report.objective == 0.75
+        assert report.details == {"lp_objective": 0.75, "tie_break_success": True}
+
     def test_size_cap(self):
         n = LP_MAX_POINTS + 1
         space = FeatureSpace(np.arange(n, dtype=float))

@@ -40,12 +40,12 @@ def _quiet(fun, *args, **kwargs):
 class TestPooledMass:
     def test_twopoint_nobody_moves(self, twopoint):
         pop, cost, clf = twopoint
-        mass = _quiet(pooled_mass, clf, pop, cost).mass
+        mass = _quiet(pooled_mass, clf, pop, cost)
         assert mass.tolist() == [-0.5, 0.5]
 
     def test_threepoint_pools_at_the_top(self, threepoint):
         pop, cost, clf = threepoint
-        mass = _quiet(pooled_mass, clf, pop, cost).mass
+        mass = _quiet(pooled_mass, clf, pop, cost)
         assert mass.tolist() == pytest.approx([-1.0 / 3.0, 0.0, 2.0 / 3.0], abs=1e-15)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 9))
@@ -56,7 +56,7 @@ class TestPooledMass:
         pop = random_population(rng, space)
         cost = random_simple_cost(rng, space)
         f = random_classifier(rng, space)
-        mass = _quiet(pooled_mass, f, pop, cost).mass
+        mass = _quiet(pooled_mass, f, pop, cost)
         total = float(np.dot(pop.pi, 2.0 * pop.h - 1.0))
         assert abs(float(mass.sum()) - total) <= 1e-12
 
