@@ -70,7 +70,9 @@ class BestResponse:
             object.__setattr__(self, name, arr)
 
 
-def _target_indices(values: np.ndarray, costs: np.ndarray | CostFunction) -> np.ndarray:
+def _target_indices(
+    values: np.ndarray, costs: np.ndarray | CostFunction, slack: float | None = None
+) -> np.ndarray | None:
     """Best-response targets for acceptance values ``values`` and a cost.
 
     A move i -> j is available iff values[j] - values[i] exceeds
@@ -115,13 +117,26 @@ def _target_indices(values: np.ndarray, costs: np.ndarray | CostFunction) -> np.
     Knife-edge pairs need a positive gain, so they sit in the rows that
     have a larger value earlier (searched in blocks of rows, stopping at the
     first hit) or in the upward block.
+
+    With ``slack`` the call returns None, and warns nothing, unless every
+    decision clears its threshold by more than ``slack``: each pair's margin
+    fl(values[j] - values[i]) - fl(costs[i, j] + KNIFE_EDGE_ATOL) lies
+    outside [-slack, slack], and every available move other than the one
+    picked has fl(values[pick] - values[j]) > slack.  Both paths test this
+    one predicate.  The separable one lowers each row's floor by ``slack``,
+    which the room in m covers as above, so a pair left out of the upward
+    block has margin below -slack; a row whose best downward move has
+    margin below -slack has no other downward margin above it, as rounding
+    is monotone; the remaining rows are compared against every lower index.
     """
     a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
-        target, edge = _separable_targets(values, a)
+        target, edge = _separable_targets(values, a, slack)
     else:
         matrix = costs.costs if isinstance(costs, CostFunction) else costs
-        target, edge = _generic_targets(values, matrix)
+        target, edge = _generic_targets(values, matrix, slack)
+    if target is None:
+        return None
     if edge is not None:
         i, j = edge
         warnings.warn(
@@ -135,13 +150,23 @@ def _target_indices(values: np.ndarray, costs: np.ndarray | CostFunction) -> np.
 
 
 def _generic_targets(
-    q: np.ndarray, costs: np.ndarray
-) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Targets and first knife-edge pair, comparing every pair of points."""
+    q: np.ndarray, costs: np.ndarray, slack: float | None = None
+) -> tuple[np.ndarray | None, tuple[int, int] | None]:
+    """Targets and first knife-edge pair, comparing every pair of points.
+
+    The targets are None when ``slack`` is given and a decision lies within
+    it (see :func:`_target_indices`).
+    """
     idx = np.arange(q.shape[-1])
     gains = q[..., None, :] - q[..., :, None]
-    mask = gains > costs + KNIFE_EDGE_ATOL
+    limit = costs + KNIFE_EDGE_ATOL
+    mask = gains > limit
     mask[..., idx, idx] = False
+    if slack is not None:
+        unsure = np.abs(gains - limit) <= slack
+        unsure[..., idx, idx] = False
+        if np.any(unsure):
+            return None, None
 
     near = (gains > 0) & (np.abs(gains - costs) < KNIFE_EDGE_ATOL)
     near[..., idx, idx] = False
@@ -152,18 +177,20 @@ def _generic_targets(
     cand = np.where(mask, q[..., None, :], -np.inf)
     best = cand.max(axis=-1)
     top = np.maximum(q, best)
+    if slack is not None and np.any((mask & (top[..., None] - cand <= slack)).sum(axis=-1) > 1):
+        return None, None
     attain = cand == top[..., None]
     attain[..., idx, idx] |= q == top
     return attain.argmax(axis=-1), edge
 
 
 def _separable_targets(
-    q: np.ndarray, a: np.ndarray
-) -> tuple[np.ndarray, tuple[int, int] | None]:
+    q: np.ndarray, a: np.ndarray, slack: float | None = None
+) -> tuple[np.ndarray | None, tuple[int, int] | None]:
     """Targets and first knife-edge pair for costs built from ``a``.
 
-    The candidate reductions and their rounding margin are derived in
-    :func:`_target_indices`.
+    The candidate reductions, their rounding margin and the ``slack`` test
+    are derived in :func:`_target_indices`.
     """
     n = q.size
     idx = np.arange(n)
@@ -172,13 +199,17 @@ def _separable_targets(
     below = np.concatenate(([-np.inf], run[:-1]))
     rises = np.concatenate(([True], q[1:] > run[:-1]))
     at = np.concatenate(([0], np.maximum.accumulate(np.where(rises, idx, 0))[:-1]))
-    down = below - q > 0.0 + KNIFE_EDGE_ATOL
+    drop = below - q
+    down = drop > 0.0 + KNIFE_EDGE_ATOL
     target = np.where(down, at, idx)
 
     key = q - a
     above = np.maximum.accumulate(key[::-1])[::-1][1:]  # max(key[i+1:])
     margin = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a).max() + np.abs(q).max())
     floor = key - KNIFE_EDGE_ATOL - margin
+    if slack is not None:
+        floor -= slack
+        close = np.zeros(n, dtype=int)  # available moves within slack of the pick
     rows = np.flatnonzero(above >= floor[:-1])
 
     edge = None
@@ -187,16 +218,38 @@ def _separable_targets(
         gains = q[cols] - q[rows, None]
         c = np.maximum(a[cols] - a[rows, None], 0.0)
         upward = cols > rows[:, None]
-        cand = np.where(upward & (gains > c + KNIFE_EDGE_ATOL), q[cols], -np.inf)
+        limit = c + KNIFE_EDGE_ATOL
+        if slack is not None and np.any(upward & (np.abs(gains - limit) <= slack)):
+            return None, None
+        avail = upward & (gains > limit)
+        cand = np.where(avail, q[cols], -np.inf)
         best = cand.max(axis=1)
         # an equal downward value has the smaller index
         wins = best > np.where(down[rows], below[rows], -np.inf)
         pick = cols[(cand == best[:, None]).argmax(axis=1)]
         target[rows[wins]] = pick[wins]
+        if slack is not None:
+            close[rows] = (avail & (q[target[rows], None] - cand <= slack)).sum(axis=1)
         near = upward & (gains > 0) & (np.abs(gains - c) < KNIFE_EDGE_ATOL)
         if np.any(near):
             r, k = [int(v[0]) for v in np.nonzero(near)]
             edge = (int(rows[r]), int(cols[k]))
+
+    if slack is not None:
+        # rows whose best downward margin reaches -slack, about 2**20 cells a block
+        live = (drop - KNIFE_EDGE_ATOL >= -slack).nonzero()[0]
+        step = max(1, (1 << 20) // n)
+        for s in range(0, live.size, step):
+            block = live[s : s + step]
+            gains = q[: block[-1]] - q[block, None]
+            lower = idx[: block[-1]] < block[:, None]
+            if np.any(lower & (np.abs(gains - KNIFE_EDGE_ATOL) <= slack)):
+                return None, None
+            avail = lower & (gains > 0.0 + KNIFE_EDGE_ATOL)
+            trail = q[target[block], None] - q[: block[-1]]
+            close[block] += (avail & (trail <= slack)).sum(axis=1)
+        if (rows.size or live.size) and (close > 1).any():
+            return None, None
 
     # within one row a downward pair precedes every upward one
     flagged = np.flatnonzero(below > q)

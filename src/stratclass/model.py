@@ -434,8 +434,9 @@ class NoiseKernel:
             z /= sigma
         # in place, to keep one n x n temporary; ndtr(-inf) and ndtr(inf)
         # are exactly 0 and 1, so the open outer cells close exactly
-        cdf = ndtr(z, out=z)
-        return cls(space, np.diff(cdf, axis=1))
+        rows = np.diff(ndtr(z, out=z), axis=1)
+        del z  # freed before the constructor copies rows: two n x n arrays at most
+        return cls(space, rows)
 
 
 _LABELS = string.ascii_uppercase

@@ -9,6 +9,19 @@ The evaluation itself lives in :mod:`stratclass.game`; the ``noisy_*``
 payoffs are one-group wrappers over it.  :func:`threshold_sweep` evaluates
 every threshold cut of a subpopulation scenario with the same per-group
 reduction, and :func:`solve_deterministic_noisy` is the one scan for the best.
+
+A noisy sweep does not take one matvec per cut.  Each cut's curve q~ comes
+off one cumulative sum over the kernel's columns and lies within
+delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  A best
+response to q~ is kept only when every decision clears its threshold by
+slack = 2 delta + 8uS, which makes it the one q gives; a cut that does not
+certify takes the matvec.  A kept cut's utility is then off by at most
+Delta, about delta + 4 gamma_{n+2} (derived in :func:`threshold_sweep`),
+and every kept cut within 2 Delta of the best utility or efficiency is
+evaluated again on q.  So those points, every fallback point and the best
+threshold for either objective are bit for bit what the matvec scan gives;
+other points may differ in the last bits of their utilities.  From n = 2249
+on, slack reaches KNIFE_EDGE_ATOL and every cut takes the matvec.
 """
 
 from __future__ import annotations
@@ -148,6 +161,39 @@ def _fast_threshold_targets(c: CostFunction, start: int) -> np.ndarray:
     return target
 
 
+# cuts whose cheap curves are built together; one block holds n x 64 floats
+_CUT_BLOCK = 64
+_UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
+
+
+def _gamma(k: int) -> float:
+    """Higham's gamma_k = k u / (1 - k u), the bound of a k-term float sum."""
+    return k * _UNIT / (1.0 - k * _UNIT)
+
+
+def _suffix(n: int, start: int) -> np.ndarray:
+    probs = np.zeros(n)
+    probs[start:] = 1.0
+    return probs
+
+
+def _sweep_point(
+    scenario: SubpopulationScenario, start: int, q: np.ndarray, targets: list[np.ndarray]
+) -> SweepPoint:
+    rep = _subpop_report(scenario, q, targets)
+    return SweepPoint(
+        tau=float(scenario.space.points[max(start - 1, 0)]),
+        strict=start > 0,
+        start=start,
+        utility=rep.utility,
+        cost=rep.cost,
+        efficiency=rep.efficiency,
+        subpop_utilities=rep.utilities,
+        subpop_costs=rep.costs,
+        gap=rep.gap,
+    )
+
+
 def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     """Evaluate every threshold acceptance set on a scenario, bottom up.
 
@@ -157,38 +203,151 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     ``(points[start - 1], True)`` for every other cut.  Without noise, a
     cost that passes :func:`_fast_path_ok` (on its matrix if tabular, on
     ``a`` if separable) takes the fast path; the rest take the generic one.
-    """
-    space = scenario.space
-    n = space.n
-    kernel = scenario.kernel
-    fast_ok = [kernel is None and _fast_path_ok(fn) for fn in scenario.cost_fns]
 
-    out: list[SweepPoint] = []
+    With noise, cut s faces q = rows @ p, p the indicator of indices >= s,
+    and :func:`_noisy_sweep` reads every cut's curve off one cumulative sum
+    over the kernel's columns instead.  Exact, that is bit-identical to
+    q = rows @ p and its best responses, are the points of every cut that
+    falls back and of every certified cut within 2 Delta of the best utility
+    or efficiency; so the best point for either objective, ties included, is
+    the one the matvec-per-cut scan finds.  Any other point may differ from
+    it in the last bits of its utilities and efficiency, never in its costs.
+    A knife-edge warning from a noisy sweep names a pair of the curve it
+    decided on, q~ for a certified cut.
+
+    Cuts are visited from the top, in blocks of ``_CUT_BLOCK``: the curve of
+    cut s is q~ = q~(s + 1) + rows[:, s], q~(n) = 0, and one reverse
+    cumulative sum per block gives them all in O(n^2) for the sweep, never
+    holding an n x (n + 1) table.  Each group's best response to q~ is asked
+    to certify itself with ``slack`` (see :func:`_target_indices`); the cut
+    keeps those targets if every group's does, and otherwise computes q by
+    the matvec and answers the groups that did not certify on it, one more
+    best response each.  Last, every certified cut whose utility or
+    efficiency lies within 2 Delta of the best is evaluated again on q with
+    the targets it holds.
+
+    Notation: u = eps / 2, gamma_k = k u / (1 - k u), S the largest computed
+    row sum of the (nonnegative) kernel, r_i the exact sum of row i.
+
+    delta bounds |q~_i - q_i|.  Both are sums of the same terms rows[i, j],
+    j >= s: the products with the 0/1 entries of p are exact, and a float
+    sum of k <= n terms in any order (blocked, pairwise, FMA) errs by at
+    most gamma_n times the sum of their magnitudes (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, ch. 3-4), which is at most r_i.
+    The computed row sum is at least r_i (1 - gamma_n), so
+    |q~_i - q_i| <= 2 gamma_n r_i <= 2 gamma_n S / (1 - gamma_n)
+    <= 2 gamma_{n+1} S = delta.
+
+    slack = 2 delta + 8uS bounds how far a decision can move.  Every entry
+    of q~ and q is at most S (1 + 2 gamma_{n+1}), so a computed gain
+    fl(q~_j - q~_i) lies within 2 delta + 2u (2S)(1 + 2 gamma_{n+1}) <
+    2 delta + 5uS of fl(q_j - q_i); the rest of 8uS covers the rounding of
+    the margin that is tested against slack.  A pair whose margin on q~
+    clears slack thus has the same available-or-not answer on q, and an
+    available move that trails the pick by more than slack on q~ trails it
+    on q too, as q_pick - q_j >= fl(q~_pick - q~_j)(1 - u) - 2 delta > 0.
+    So a certified group's targets are the ones q gives: its strategy costs
+    are bit-identical, and only the accuracies read q~ at the targets.
+
+    Delta bounds the utility that moves with them.  Group g's accuracy is
+    fl(sum_i pi_i fl(fl(q[t_i] w_i) + v_i)), w = 2h - 1 and v = 1 - h read
+    as the same floats on both curves, |w|, |v| <= 1.  In exact arithmetic
+    the two sums differ by at most P delta, P the mass of pi; the two
+    roundings add at most 2 gamma_{n+2} P (2S + 1) (the products and sums
+    above, q <= 2S).  The share-weighted sum over G groups adds
+    2 gamma_{G+1} P (2S + 1) more, the extra index absorbing second-order
+    terms, and the shares weigh it all by their mass M:
+
+        Delta_U = M (P delta + 2 (gamma_{n+2} + gamma_{G+1}) P (2S + 1)).
+
+    The efficiency is fl(U - K) with the same K on both curves, so
+    Delta_E = Delta_U + 3u (|E| + Delta_U) over the largest |E| of the sweep.
+    Every cut b satisfies |V~_b - V_b| <= Delta, so with V~* the best held
+    value the exact optimum V* >= V~* - Delta; a cut held below V~* - 2
+    Delta has V < V~* - Delta <= V* and cannot tie the optimum, and its held
+    value stays below V* too.  The exact ones among the rest carry every
+    maximum, so the first maximum of the returned points is the exact one.
+    Each window test is widened by u |V~*| for its own rounding.
+
+    slack reaches KNIFE_EDGE_ATOL at n = 2249 for S = 1, where
+    4 gamma_{n+1} + 8u first reaches 1e-12.  Cost-free sideways pairs
+    between saturated values, whose margins sit KNIFE_EDGE_ATOL below their
+    threshold, then make nearly every cut fall back, so from there on each
+    cut takes the matvec at once: correct, but no faster than before.
+    """
+    n = scenario.space.n
+    if scenario.kernel is not None:
+        return _noisy_sweep(scenario)
+    fast_ok = [_fast_path_ok(fn) for fn in scenario.cost_fns]
+    out = []
     for start in range(n + 1):
-        probs = np.zeros(n)
-        probs[start:] = 1.0
-        q = probs if kernel is None else kernel.rows @ probs
+        probs = _suffix(n, start)
         targets = [
-            _fast_threshold_targets(fn, start)
-            if fast
-            else _target_indices(q, fn)
+            _fast_threshold_targets(fn, start) if fast else _target_indices(probs, fn)
             for fast, fn in zip(fast_ok, scenario.cost_fns)
         ]
-        rep = _subpop_report(scenario, q, targets)
-        out.append(
-            SweepPoint(
-                tau=float(space.points[max(start - 1, 0)]),
-                strict=start > 0,
-                start=start,
-                utility=rep.utility,
-                cost=rep.cost,
-                efficiency=rep.efficiency,
-                subpop_utilities=rep.utilities,
-                subpop_costs=rep.costs,
-                gap=rep.gap,
-            )
-        )
+        out.append(_sweep_point(scenario, start, probs, targets))
     return tuple(out)
+
+
+def _noisy_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
+    """The noisy branch of :func:`threshold_sweep`; its bounds are derived there."""
+    kernel = scenario.kernel
+    rows = kernel.rows
+    n = kernel.n
+    fns = scenario.cost_fns
+    size = float(rows.sum(axis=1).max())
+    delta = 2.0 * _gamma(n + 1) * size
+    slack = 2.0 * delta + 8.0 * _UNIT * size
+    cheap = slack < KNIFE_EDGE_ATOL
+
+    points: list[SweepPoint] = [None] * (n + 1)  # type: ignore[list-item]
+    stay = np.arange(n)
+    # certified cut -> each group's movers and their targets, O(movers) memory
+    held: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+
+    def visit(start: int, approx: np.ndarray) -> None:
+        targets = [_target_indices(approx, fn, slack) if cheap else None for fn in fns]
+        if all(t is not None for t in targets):
+            movers = [np.flatnonzero(t != stay) for t in targets]
+            held[start] = [(moved, t[moved]) for moved, t in zip(movers, targets)]
+            points[start] = _sweep_point(scenario, start, approx, targets)
+            return
+        q = rows @ _suffix(n, start)
+        targets = [_target_indices(q, fn) if t is None else t for t, fn in zip(targets, fns)]
+        points[start] = _sweep_point(scenario, start, q, targets)
+
+    tail = np.zeros(n)
+    visit(n, tail)
+    for hi in range(n, 0, -_CUT_BLOCK):
+        lo = max(hi - _CUT_BLOCK, 0)
+        acc = rows[:, lo:hi].T[::-1].copy()  # acc[k] is column hi - 1 - k
+        acc[0] += tail
+        np.cumsum(acc, axis=0, out=acc)
+        for k in range(hi - lo):
+            visit(hi - 1 - k, acc[k])
+        tail = acc[-1]
+    if not held:
+        return tuple(points)
+
+    # masses of the shares and of pi, each rounded sum raised to a bound
+    mass = float(scenario.shares.sum()) * (1.0 + _gamma(scenario.shares.size + 1))
+    pi_mass = float(scenario.pop.pi.sum()) * (1.0 + _gamma(n + 1))
+    roundings = _gamma(n + 2) + _gamma(scenario.shares.size + 1)
+    err_u = mass * pi_mass * (delta + 2.0 * roundings * (2.0 * size + 1.0))
+    err_e = err_u + 3.0 * _UNIT * (max(abs(p.efficiency) for p in points) + err_u)
+    best_u = max(p.utility for p in points)
+    best_e = max(p.efficiency for p in points)
+    floor_u = best_u - 2.0 * err_u - _UNIT * abs(best_u)
+    floor_e = best_e - 2.0 * err_e - _UNIT * abs(best_e)
+    for start, moves in held.items():
+        p = points[start]
+        if p.utility >= floor_u or p.efficiency >= floor_e:
+            targets = [stay.copy() for _ in moves]
+            for t, (moved, dest) in zip(targets, moves):
+                t[moved] = dest
+            points[start] = _sweep_point(scenario, start, rows @ _suffix(n, start), targets)
+    return tuple(points)
 
 
 def solve_deterministic_noisy(

@@ -49,6 +49,11 @@ __all__ = [
     "save_scenario",
 ]
 
+# libyaml's loader builds the same nodes, marks and data about five times
+# faster; PyYAML built without it has only the pure-Python one
+_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 class ScenarioError(ValueError):
     """A scenario document failed to parse or validate."""
 
@@ -334,7 +339,7 @@ def parse_scenario(text: str) -> LoadedScenario:
     """Parse and build a scenario from YAML text, in one YAML parse."""
     data, marks = None, {}
     try:
-        loader = yaml.SafeLoader(text)
+        loader = _Loader(text)
         try:  # safe_load's two steps, marks first: construction rewrites merge keys
             node = loader.get_single_node()
             if node is not None:
