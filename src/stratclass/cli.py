@@ -9,7 +9,9 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   optimum is unstable against its own derandomization.
 * ``sweep`` re-evaluates the scenario along a parameter grid and streams
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply); ``--threads N`` (N >= 1) evaluates rows in parallel.
+  apply); ``--threads N`` (N >= 1) evaluates rows in parallel.  A sigma
+  sweep runs at most as many rows at once as their kernels fit in
+  ``DENSE_BYTES_LIMIT``.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` overrides its tolerances.
 
@@ -29,7 +31,7 @@ from typing import Any, Callable, Iterable, TextIO
 
 import numpy as np
 
-from .model import Classifier, SubpopulationScenario, ValidationError
+from .model import Classifier, SubpopulationScenario, ValidationError, _dense_fit_count
 from .noise import solve_deterministic_noisy, subpop_accuracies
 from .reproduce import ReproduceResult, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
@@ -243,13 +245,17 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     values = _parse_range(args.range)
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
+    threads = args.threads
+    if args.param == "sigma":
+        # each row in flight builds its own kernel; together they keep to one budget
+        threads = min(threads, _dense_fit_count(loaded.scenario.space.n))
 
     def row(v: float) -> list:
         scen, clf = build(float(v))
         return _sweep_row(float(v), scen, clf)
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(row, values))  # ordered, so output is stable
     else:
         rows = [row(v) for v in values]

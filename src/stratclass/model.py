@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import string
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import ndtr
@@ -50,6 +50,9 @@ LIPSCHITZ_ATOL = 1e-9
 # instance's two group costs plus its kernel at n = 6401 (0.98 GB) fit, and a
 # kernel at n = 20001 (3.2 GB) does not.
 DENSE_BYTES_LIMIT = 2 * 2**30
+# Bytes of the cdf block NoiseKernel.gaussian evaluates at a time: one block
+# stays in a core's cache while its rows are differenced, checked and rescaled.
+_KERNEL_BLOCK_BYTES = 2**20
 
 
 class ValidationError(ValueError):
@@ -83,6 +86,11 @@ def _require_dense_fits(n: int, matrices: int) -> None:
             f"n: {n} points need {need / 1e9:.2f} GB of dense matrices; "
             f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
         )
+
+
+def _dense_fit_count(n: int) -> int:
+    """How many n x n float64 arrays DENSE_BYTES_LIMIT holds at once, at least 1."""
+    return max(1, DENSE_BYTES_LIMIT // (8 * n * n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,28 +390,52 @@ def is_lipschitz(f: Classifier, c: CostFunction) -> bool:
     return bool(np.all(p[None, :] - p[:, None] <= c.costs + LIPSCHITZ_ATOL))
 
 
+def _normalise_rows(r: np.ndarray, first: int = 0) -> None:
+    """Check kernel rows and rescale each to close exactly, in place.
+
+    Entries must be finite and at least ``-PROB_ATOL`` (dust below zero is
+    clipped), and each row must sum to 1 within ``PROB_ATOL``.  ``first`` is
+    the kernel index of ``r``'s first row, so a block names its global row.
+    """
+    if not np.all(np.isfinite(r)):
+        raise ValidationError("rows: entries must be finite")
+    if np.any(r < -PROB_ATOL):
+        raise ValidationError("rows: entries must be nonnegative")
+    np.clip(r, 0.0, None, out=r)
+    sums = r.sum(axis=1)
+    if np.any(np.abs(sums - 1.0) > PROB_ATOL):
+        i = int(np.argmax(np.abs(sums - 1.0)))
+        raise ValidationError(f"rows: row {first + i} sums to {sums[i]!r}, expected 1")
+    r /= sums[:, None]
+
+
+class _Normalised(NamedTuple):
+    """Rows a kernel builder owns and has already checked and closed: kept without a copy."""
+
+    rows: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class NoiseKernel:
-    """Row-stochastic kernel: ``rows[i, j]`` = P(observed feature j | signal i)."""
+    """Row-stochastic kernel: ``rows[i, j]`` = P(observed feature j | signal i).
+
+    The constructor checks a copy of the rows it is given (see
+    :func:`_normalise_rows`) and rescales that copy; the caller's array is
+    never modified or kept.
+    """
 
     space: FeatureSpace
     rows: np.ndarray
 
     def __post_init__(self):
-        r = np.array(self.rows, dtype=float)
-        n = self.space.n
-        if r.shape != (n, n):
-            raise ValidationError(f"rows: expected a {n}x{n} matrix, got {r.shape}")
-        if not np.all(np.isfinite(r)):
-            raise ValidationError("rows: entries must be finite")
-        if np.any(r < -PROB_ATOL):
-            raise ValidationError("rows: entries must be nonnegative")
-        np.clip(r, 0.0, None, out=r)
-        sums = r.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > PROB_ATOL):
-            i = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValidationError(f"rows: row {i} sums to {sums[i]!r}, expected 1")
-        r /= sums[:, None]
+        if isinstance(self.rows, _Normalised):
+            r = self.rows.rows
+        else:
+            r = np.array(self.rows, dtype=float)
+            n = self.space.n
+            if r.shape != (n, n):
+                raise ValidationError(f"rows: expected a {n}x{n} matrix, got {r.shape}")
+            _normalise_rows(r)
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)
 
@@ -421,22 +453,36 @@ class NoiseKernel:
 
         Row i holds the mass of Normal(points[i], sigma) over each cell of
         the grid (cells are delimited by neighbour midpoints, outer cells
-        extend to infinity), renormalised to close exactly.
+        extend to infinity), renormalised to close exactly.  The rows are
+        written straight into the one n x n array the kernel keeps, a block
+        of about ``_KERNEL_BLOCK_BYTES`` at a time, and each block is checked
+        and rescaled as the constructor would while it is still in cache.
+        So a build peaks at that array plus one block, and the constructor
+        keeps it without a copy.
         """
         if sigma < 0:
             raise ValidationError("sigma: must be nonnegative")
         if sigma == 0:
             return cls.identity(space)
-        _require_dense_fits(space.n, 1)
-        edges = _cell_edges(space.points)
-        with np.errstate(over="ignore"):  # a z beyond the float range is its limit, inf
-            z = edges[None, :] - space.points[:, None]
-            z /= sigma
-        # in place, to keep one n x n temporary; ndtr(-inf) and ndtr(inf)
-        # are exactly 0 and 1, so the open outer cells close exactly
-        rows = np.diff(ndtr(z, out=z), axis=1)
-        del z  # freed before the constructor copies rows: two n x n arrays at most
-        return cls(space, rows)
+        n = space.n
+        _require_dense_fits(n, 1)
+        points = space.points
+        edges = _cell_edges(points)
+        rows = np.empty((n, n))
+        height = min(n, max(1, _KERNEL_BLOCK_BYTES // (8 * (n + 1))))
+        block = np.empty((height, n + 1))
+        for lo in range(0, n, height):
+            hi = min(lo + height, n)
+            z = block[: hi - lo]
+            with np.errstate(over="ignore"):  # a z beyond the float range is its limit, inf
+                np.subtract(edges, points[lo:hi, None], out=z)
+                z /= sigma
+            # ndtr(-inf) and ndtr(inf) are exactly 0 and 1, so the open outer
+            # cells close exactly
+            ndtr(z, out=z)
+            np.subtract(z[:, 1:], z[:, :-1], out=rows[lo:hi])
+            _normalise_rows(rows[lo:hi], lo)
+        return cls(space, _Normalised(rows))
 
 
 _LABELS = string.ascii_uppercase

@@ -24,11 +24,13 @@ from scipy.special import ndtr
 from stratclass import (
     Classifier,
     CostFunction,
+    FeatureSpace,
     GaussianInstance,
     NoiseKernel,
     SubpopulationScenario,
     discretize_instance,
     game,
+    model,
     noise,
     scenario,
     shift_cost,
@@ -252,17 +254,45 @@ def test_every_cut_takes_the_matvec_once_slack_reaches_the_band(monkeypatch):
 # ------------------------------------------------------------ kernel build
 
 
+def _plain_rows(points: np.ndarray, sigma: float) -> np.ndarray:
+    """The kernel built in one piece: cdf block, diff, clip, normalise."""
+    cdf = ndtr((_cell_edges(points)[None, :] - points[:, None]) / sigma)
+    rows = np.clip(np.diff(cdf, axis=1), 0.0, None)
+    rows /= rows.sum(axis=1)[:, None]
+    return rows
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 @pytest.mark.parametrize("n", [201, 801, 1601])
 @pytest.mark.parametrize("sigma", [0.05, 0.4, 1.0, 3.0])
 def test_gaussian_rows_are_bit_identical_to_the_plain_build(n, sigma):
-    scen = _gaussian_instance(n)
-    space = scen.space
-    # the kernel as written before the early free: cdf block, diff, normalise
-    cdf = ndtr((_cell_edges(space.points)[None, :] - space.points[:, None]) / sigma)
-    rows = np.clip(np.diff(cdf, axis=1), 0.0, None)
-    rows /= rows.sum(axis=1)[:, None]
+    space = _gaussian_instance(n).space
     got = NoiseKernel.gaussian(space, sigma).rows
-    assert np.array_equal(got.view(np.uint64), rows.view(np.uint64))
+    assert _same_bits(got, _plain_rows(space.points, sigma))
+
+
+@pytest.mark.parametrize("n", [2, 57, 500])
+@pytest.mark.parametrize("sigma", [0.01, 0.3, 2.0])
+def test_gaussian_rows_on_an_irregular_grid(n, sigma):
+    rng = np.random.default_rng(n)
+    points = np.sort(rng.uniform(-3.0, 3.0, size=n))
+    space = FeatureSpace(points)
+    got = NoiseKernel.gaussian(space, sigma).rows
+    assert _same_bits(got, _plain_rows(space.points, sigma))
+
+
+@pytest.mark.parametrize("height, n", [(64, 63), (64, 64), (64, 65), (1, 2), (1, 5)])
+def test_gaussian_rows_across_block_edges(monkeypatch, height, n):
+    # n one below, at and one above the block height: one short block, one
+    # full block, and a full block followed by a single row; at height 1
+    # every row is a block of its own
+    monkeypatch.setattr(model, "_KERNEL_BLOCK_BYTES", 8 * (n + 1) * height)
+    space = FeatureSpace(np.linspace(-2.0, 2.0, n))
+    got = NoiseKernel.gaussian(space, 0.3).rows
+    assert _same_bits(got, _plain_rows(space.points, 0.3))
 
 
 # ------------------------------------------------------------- YAML loader

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import re
+import threading
+import time
 
 import pytest
 
+from stratclass import model
 from stratclass.cli import main
 from stratclass.reproduce import TARGETS
 from stratclass.solvers import LP_MAX_POINTS
@@ -317,6 +320,36 @@ class TestSweep:
         rc4, out4, _ = run(capsys, *args, "--threads", "4")
         assert rc1 == rc4 == 0
         assert out1 == out4
+
+    def test_sigma_sweep_builds_no_more_kernels_than_fit(self, files, capsys, monkeypatch):
+        # each row in flight builds its own kernel; with room for two 2 x 2
+        # kernels, four threads still hold at most two at once
+        build = model.NoiseKernel.gaussian
+        lock = threading.Lock()
+        live, peaks = [0], []
+
+        def counted(cls, space, sigma):
+            with lock:
+                live[0] += 1
+                peaks[-1] = max(peaks[-1], live[0])
+            try:
+                time.sleep(0.1)
+                return build(space, sigma)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(model.NoiseKernel, "gaussian", classmethod(counted))
+        args = ("sweep", files["s2det"], "--param", "sigma", "--range", "0.1:1:8")
+        outs = []
+        for limit in (model.DENSE_BYTES_LIMIT, 2 * 8 * 2 * 2):
+            monkeypatch.setattr(model, "DENSE_BYTES_LIMIT", limit)
+            peaks.append(0)
+            rc, out, _ = run(capsys, *args, "--threads", "4")
+            assert rc == 0
+            outs.append(out)
+        assert peaks == [4, 2]
+        assert outs[0] == outs[1] == run(capsys, *args)[1]
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_refused(self, files, capsys, threads):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -199,6 +200,46 @@ class TestNoiseKernel:
             NoiseKernel(space, [[0.5, 0.4], [0.0, 1.0]])
         with pytest.raises(ValidationError, match="nonnegative"):
             NoiseKernel(space, [[1.5, -0.5], [0.0, 1.0]])
+
+    def test_caller_rows_are_copied_never_changed(self):
+        # entries the constructor clips and rows it rescales, in a writeable array
+        space = FeatureSpace([0.0, 1.0])
+        arr = np.array([[0.5, 0.5 + 4e-13], [-1e-13, 1.0]])
+        before = arr.copy()
+        k = NoiseKernel(space, arr)
+        assert arr.flags.writeable
+        assert np.array_equal(arr.view(np.uint64), before.view(np.uint64))
+        assert not np.shares_memory(k.rows, arr)
+        assert k.rows[1, 0] == 0.0 and k.rows[0, 1] < arr[0, 1]
+
+    @pytest.mark.parametrize("build", ["constructor", "gaussian"])
+    def test_kept_rows_own_their_data_and_are_read_only(self, build):
+        space = FeatureSpace(np.linspace(-1.0, 1.0, 5))
+        if build == "gaussian":
+            k = NoiseKernel.gaussian(space, 0.5)
+        else:
+            k = NoiseKernel(space, np.full((5, 5), 0.2))
+        assert k.rows.flags.owndata
+        assert not k.rows.flags.writeable
+        with pytest.raises(ValueError):
+            k.rows[0, 0] = 1.0
+
+    def test_row_sum_message_names_the_kernel_row(self):
+        block = np.array([[0.5, 0.5], [0.5, 0.25]])
+        with pytest.raises(ValidationError, match=r"^rows: row 8 sums to \S*0\.75\)?, expected 1$"):
+            model._normalise_rows(block, first=7)
+        with pytest.raises(ValidationError, match=r"^rows: row 1 sums to \S*0\.75\)?, expected 1$"):
+            NoiseKernel(FeatureSpace([0.0, 1.0]), block)
+
+    def test_gaussian_peaks_at_the_kernel_plus_one_block(self):
+        space = FeatureSpace(np.linspace(-3.0, 3.0, 1000))
+        tracemalloc.start()
+        try:
+            k = NoiseKernel.gaussian(space, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * k.rows.nbytes
 
     def test_identity(self):
         space = FeatureSpace([0.0, 1.0, 2.0])
