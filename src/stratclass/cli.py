@@ -9,9 +9,9 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   optimum is unstable against its own derandomization.
 * ``sweep`` re-evaluates the scenario along a parameter grid and streams
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply); ``--threads N`` (N >= 1) evaluates rows in parallel.  A sigma
-  sweep runs at most as many rows at once as their kernels fit in
-  ``DENSE_BYTES_LIMIT``.
+  apply); ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
+  as many threads as the process may use CPUs.  A sigma sweep runs at most
+  as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` overrides its tolerances.
 
@@ -25,6 +25,8 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Callable, Iterable, TextIO
@@ -187,6 +189,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise CliError(f"--range expects lo:hi:steps, got {text!r}") from None
     if steps < 2:
         raise CliError("--range needs steps >= 2")
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
+        raise CliError(f"--range needs finite lo, hi and hi - lo, got {text!r}")
     return np.linspace(lo, hi, steps)
 
 
@@ -245,7 +249,9 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     values = _parse_range(args.range)
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
-    threads = args.threads
+    # one worker per CPU the process may use is as many as can run at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(args.threads, cpus or 1)
     if args.param == "sigma":
         # each row in flight builds its own kernel; together they keep to one budget
         threads = min(threads, _dense_fit_count(loaded.scenario.space.n))
@@ -281,8 +287,8 @@ def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
             "checks": [
                 {
                     "name": c.name,
-                    "expected": _jsonable(c.expected),
-                    "actual": _jsonable(c.actual),
+                    "expected": c.expected,
+                    "actual": c.actual,
                     "passed": c.passed,
                 }
                 for c in result.checks
@@ -293,17 +299,11 @@ def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
     if fmt == "csv":
         _write_csv_row(out, ("name", "expected", "actual", "passed"))
         for c in result.checks:
-            _write_csv_row(
-                out,
-                (c.name, _cell(c.expected), _cell(c.actual), _cell(c.passed)),
-            )
+            _write_csv_row(out, (c.name, c.expected, c.actual, _cell(c.passed)))
         return
     for c in result.checks:
         verdict = "pass" if c.passed else "FAIL"
-        out.write(
-            f"{verdict} {c.name}: expected {_cell(c.expected)}"
-            f" actual {_cell(c.actual)}\n"
-        )
+        out.write(f"{verdict} {c.name}: expected {c.expected} actual {c.actual}\n")
     good = sum(1 for c in result.checks if c.passed)
     verdict = "pass" if result.passed else "FAIL"
     out.write(f"{result.target}: {verdict} ({good}/{len(result.checks)} checks)\n")

@@ -119,15 +119,18 @@ def _target_indices(
     first hit) or in the upward block.
 
     With ``slack`` the call returns None, and warns nothing, unless every
-    decision clears its threshold by more than ``slack``: each pair's margin
-    fl(values[j] - values[i]) - fl(costs[i, j] + KNIFE_EDGE_ATOL) lies
-    outside [-slack, slack], and every available move other than the one
-    picked has fl(values[pick] - values[j]) > slack.  Both paths test this
-    one predicate.  The separable one lowers each row's floor by ``slack``,
-    which the room in m covers as above, so a pair left out of the upward
-    block has margin below -slack; a row whose best downward move has
-    margin below -slack has no other downward margin above it, as rounding
-    is monotone; the remaining rows are compared against every lower index.
+    decision clears its threshold by more than ``slack``.  With margin
+    fl(values[j] - values[i]) - fl(costs[i, j] + KNIFE_EDGE_ATOL), every
+    downward pair (j < i) has margin below -slack, so no downward move is
+    available or near it; every upward pair has margin outside [-slack,
+    slack]; and every available move but the pick has fl(values[pick] -
+    values[j]) > slack.  Both paths test this one predicate.  A nondecreasing
+    curve, which a stochastically monotone kernel such as the Gaussian one
+    gives every threshold, has downward margins of at most -KNIFE_EDGE_ATOL.
+    The separable path reads the downward margins off ``drop``, each row's
+    largest as rounding is monotone, and lowers each row's floor by
+    ``slack``, which the room in m covers as above, so a pair left out of the
+    upward block has margin below -slack.
     """
     a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
@@ -163,7 +166,9 @@ def _generic_targets(
     mask = gains > limit
     mask[..., idx, idx] = False
     if slack is not None:
-        unsure = np.abs(gains - limit) <= slack
+        margin = gains - limit
+        down = np.tri(idx.size, k=-1, dtype=bool)  # j < i
+        unsure = np.where(down, margin >= -slack, np.abs(margin) <= slack)
         unsure[..., idx, idx] = False
         if np.any(unsure):
             return None, None
@@ -192,8 +197,7 @@ def _separable_targets(
     The candidate reductions, their rounding margin and the ``slack`` test
     are derived in :func:`_target_indices`.
     """
-    n = q.size
-    idx = np.arange(n)
+    idx = np.arange(q.size)
     # below[i] = max(q[:i]), first attained at index at[i]
     run = np.maximum.accumulate(q)
     below = np.concatenate(([-np.inf], run[:-1]))
@@ -208,8 +212,9 @@ def _separable_targets(
     margin = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a).max() + np.abs(q).max())
     floor = key - KNIFE_EDGE_ATOL - margin
     if slack is not None:
+        if np.any(drop - KNIFE_EDGE_ATOL >= -slack):
+            return None, None
         floor -= slack
-        close = np.zeros(n, dtype=int)  # available moves within slack of the pick
     rows = np.flatnonzero(above >= floor[:-1])
 
     edge = None
@@ -227,29 +232,13 @@ def _separable_targets(
         # an equal downward value has the smaller index
         wins = best > np.where(down[rows], below[rows], -np.inf)
         pick = cols[(cand == best[:, None]).argmax(axis=1)]
+        if slack is not None and np.any((avail & (q[pick, None] - cand <= slack)).sum(axis=1) > 1):
+            return None, None
         target[rows[wins]] = pick[wins]
-        if slack is not None:
-            close[rows] = (avail & (q[target[rows], None] - cand <= slack)).sum(axis=1)
         near = upward & (gains > 0) & (np.abs(gains - c) < KNIFE_EDGE_ATOL)
         if np.any(near):
             r, k = [int(v[0]) for v in np.nonzero(near)]
             edge = (int(rows[r]), int(cols[k]))
-
-    if slack is not None:
-        # rows whose best downward margin reaches -slack, about 2**20 cells a block
-        live = (drop - KNIFE_EDGE_ATOL >= -slack).nonzero()[0]
-        step = max(1, (1 << 20) // n)
-        for s in range(0, live.size, step):
-            block = live[s : s + step]
-            gains = q[: block[-1]] - q[block, None]
-            lower = idx[: block[-1]] < block[:, None]
-            if np.any(lower & (np.abs(gains - KNIFE_EDGE_ATOL) <= slack)):
-                return None, None
-            avail = lower & (gains > 0.0 + KNIFE_EDGE_ATOL)
-            trail = q[target[block], None] - q[: block[-1]]
-            close[block] += (avail & (trail <= slack)).sum(axis=1)
-        if (rows.size or live.size) and (close > 1).any():
-            return None, None
 
     # within one row a downward pair precedes every upward one
     flagged = np.flatnonzero(below > q)

@@ -13,15 +13,19 @@ reduction, and :func:`solve_deterministic_noisy` is the one scan for the best.
 A noisy sweep does not take one matvec per cut.  Each cut's curve q~ comes
 off one cumulative sum over the kernel's columns and lies within
 delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  A best
-response to q~ is kept only when every decision clears its threshold by
-slack = 2 delta + 8uS, which makes it the one q gives; a cut that does not
-certify takes the matvec.  A kept cut's utility is then off by at most
-Delta, about delta + 4 gamma_{n+2} (derived in :func:`threshold_sweep`),
-and every kept cut within 2 Delta of the best utility or efficiency is
-evaluated again on q.  So those points, every fallback point and the best
-threshold for either objective are bit for bit what the matvec scan gives;
-other points may differ in the last bits of their utilities.  From n = 2249
-on, slack reaches KNIFE_EDGE_ATOL and every cut takes the matvec.
+response to q~ is kept only when it certifies at slack = 2 delta + 8uS
+(the predicate is stated in :func:`stratclass.game._target_indices`), which
+makes it the one q gives.  A cut that does not certify takes the matvec:
+one whose curve has a downward move available or within slack of it, which
+the nondecreasing curves of a Gaussian kernel never have, or an upward
+decision or a runner-up pick within slack.  A kept cut's utility is then
+off by at most Delta, about delta + 4 gamma_{n+2} (derived in
+:func:`threshold_sweep`), and every kept cut within 2 Delta of the best
+utility or efficiency is evaluated again on q.  So those points, every
+fallback point and the best threshold for either objective are bit for bit
+what the matvec scan gives; other points may differ in the last bits of
+their utilities.  From n = 2249 on, slack reaches KNIFE_EDGE_ATOL and every
+cut takes the matvec.
 """
 
 from __future__ import annotations
@@ -219,12 +223,16 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     cut s is q~ = q~(s + 1) + rows[:, s], q~(n) = 0, and one reverse
     cumulative sum per block gives them all in O(n^2) for the sweep, never
     holding an n x (n + 1) table.  Each group's best response to q~ is asked
-    to certify itself with ``slack`` (see :func:`_target_indices`); the cut
-    keeps those targets if every group's does, and otherwise computes q by
-    the matvec and answers the groups that did not certify on it, one more
-    best response each.  Last, every certified cut whose utility or
-    efficiency lies within 2 Delta of the best is evaluated again on q with
-    the targets it holds.
+    to certify itself with ``slack`` (the predicate is stated in
+    :func:`_target_indices`); the cut keeps those targets if every group's
+    does, and otherwise computes q by the matvec and answers the groups that
+    did not certify on it, one more best response each.  Downward moves are
+    never certified: a cut whose curve has one available or within slack
+    takes the matvec.  A stochastically monotone kernel, as the Gaussian one
+    is, makes every cut's q nondecreasing, so there only an upward decision
+    or pick within slack sends a cut to the matvec.  Last, every certified
+    cut whose utility or efficiency lies within 2 Delta of the best is
+    evaluated again on q with the targets it holds.
 
     Notation: u = eps / 2, gamma_k = k u / (1 - k u), S the largest computed
     row sum of the (nonnegative) kernel, r_i the exact sum of row i.

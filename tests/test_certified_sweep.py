@@ -128,17 +128,25 @@ def _knife_edge(rng, scen: SubpopulationScenario, fn: CostFunction) -> CostFunct
     return shift_cost(scen.space, np.maximum.accumulate(a))
 
 
-def _random_scenario(seed: int, n: int, separable: bool, groups: int, edge: bool, tie: bool):
+def _random_scenario(
+    seed: int, n: int, separable: bool, groups: int, edge: bool, tie: bool, gaussian: bool
+):
     rng = np.random.default_rng(seed)
     space = random_space(rng, n)
     pop = random_population(rng, space)
-    kernel = random_kernel(rng, space)
+    # a Gaussian kernel gives every cut a nondecreasing curve; a Dirichlet one
+    # gives curves with downward moves, which the certificate refuses
+    if gaussian:
+        kernel = NoiseKernel.gaussian(space, rng.uniform(0.1, 2.0))
+    else:
+        kernel = random_kernel(rng, space)
     if tie and n > 1:
-        # nobody is observed at k, so cuts k and k + 1 face the same curve
+        # nobody is observed at k, so cuts k and k + 1 face the same curve;
+        # moving k's mass to a neighbour keeps a Gaussian kernel monotone
         k = int(rng.integers(n))
         rows = np.array(kernel.rows)
+        rows[:, k + 1 if k + 1 < n else k - 1] += rows[:, k]
         rows[:, k] = 0.0
-        rows[k, (k + 1) % n] += 1.0
         kernel = NoiseKernel(space, rows / rows.sum(axis=1, keepdims=True))
     fns = [
         _separable(rng, space) if separable else random_simple_cost(rng, space)
@@ -159,10 +167,11 @@ def _random_scenario(seed: int, n: int, separable: bool, groups: int, edge: bool
     groups=st.integers(1, 2),
     edge=st.booleans(),
     tie=st.booleans(),
+    gaussian=st.booleans(),
 )
 @settings(max_examples=250, deadline=None)
-def test_certified_scan_matches_the_reference_scan(seed, n, separable, groups, edge, tie):
-    _assert_matches_reference(_random_scenario(seed, n, separable, groups, edge, tie))
+def test_certified_scan_matches_the_reference_scan(seed, n, separable, groups, edge, tie, gaussian):
+    _assert_matches_reference(_random_scenario(seed, n, separable, groups, edge, tie, gaussian))
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0])
@@ -171,23 +180,29 @@ def test_certified_scan_matches_the_reference_on_an_instance(sigma):
     _assert_matches_reference(discretize_instance(inst, n=201).scenario)
 
 
-def _random_curve(rng: np.random.Generator, n: int) -> np.ndarray:
+def _random_curve(rng: np.random.Generator, n: int, rising: bool) -> np.ndarray:
+    """A curve with exact ties and knife-edge pairs; sorted if ``rising``.
+
+    A rising curve is what a Gaussian kernel gives a threshold: no downward
+    move is available, so the certificate decides only upward ones.
+    """
     q = rng.uniform(0.0, 1.0, size=n)
     snap = rng.random(n) < 0.3
     q[snap] = rng.choice([0.0, 1.0, q[0], q[0] + KNIFE_EDGE_ATOL], size=int(snap.sum()))
-    return q
+    return np.sort(q) if rising else q
 
 
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
     slack=st.sampled_from([0.0, 1e-13, 1e-12, 0.05]),
+    rising=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_certificate_is_one_predicate_for_separable_and_tabular(seed, n, slack):
+def test_certificate_is_one_predicate_for_separable_and_tabular(seed, n, slack, rising):
     rng = np.random.default_rng(seed)
     space = random_space(rng, n)
-    q = _random_curve(rng, n)
+    q = _random_curve(rng, n, rising)
     fn = _separable(rng, space)
     tabular = CostFunction(space, fn.costs)
     sep = _quiet(_target_indices, q, fn, slack)
@@ -198,21 +213,39 @@ def test_certificate_is_one_predicate_for_separable_and_tabular(seed, n, slack):
         np.testing.assert_array_equal(sep, _quiet(_target_indices, q, fn))
 
 
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 12),
+    rising=st.booleans(),
+    slack=st.sampled_from([1e-13, 1e-9]),
+)
 @settings(max_examples=200, deadline=None)
-def test_certified_targets_hold_within_half_the_slack(seed, n):
+def test_certified_targets_hold_within_half_the_slack(seed, n, rising, slack):
     # a certificate at slack s covers every curve whose gains move by less
-    # than s; nudging entries by s / 4 moves each gain by at most s / 2
+    # than s; nudging entries by s / 4 moves each gain by at most s / 2.
+    # Below KNIFE_EDGE_ATOL, as in the noisy sweep, a tie between two upward
+    # picks passes the downward test and only the pick test refuses it
     rng = np.random.default_rng(seed)
     space = random_space(rng, n)
-    q = _random_curve(rng, n)
-    slack = 1e-9
+    q = _random_curve(rng, n, rising)
     fn = _separable(rng, space) if rng.random() < 0.5 else random_simple_cost(rng, space)
     got = _quiet(_target_indices, q, fn, slack)
     if got is None:
         return
     nudged = q + rng.uniform(-slack / 4, slack / 4, size=n)
     np.testing.assert_array_equal(got, _quiet(_target_indices, nudged, fn))
+
+
+@pytest.mark.parametrize("slack", [0.0, 1e-13, 0.05])
+def test_an_available_downward_move_is_refused(slack):
+    # the contestant at 1 gains 1 by moving down for free; the certificate
+    # decides no downward move, so both representations refuse the curve
+    space = FeatureSpace(np.array([0.0, 1.0]))
+    q = np.array([1.0, 0.0])
+    free = shift_cost(space, np.zeros(2))
+    for cost in (free, CostFunction(space, free.costs)):
+        np.testing.assert_array_equal(_target_indices(q, cost), [0, 0])
+        assert _target_indices(q, cost, slack) is None
 
 
 def _gaussian_instance(n: int):
@@ -237,6 +270,29 @@ def test_noisy_solve_calls_one_best_response_per_cut_and_group(monkeypatch):
     assert len(calls) == 2 * (n + 1) + 2
 
 
+@pytest.mark.parametrize("sigma, with_movers", [(0.3, 400), (1.0, 0)])
+def test_no_cut_of_a_gaussian_instance_is_refused(monkeypatch, sigma, with_movers):
+    # a Gaussian kernel gives every cut a nondecreasing curve, which has no
+    # downward move for the certificate to refuse; the matvec fallback is
+    # exact, so only this count would show such cuts being refused
+    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=sigma)
+    scen = discretize_instance(inst, n=201).scenario
+    n = scen.space.n
+    answers = []
+
+    def counted(values, costs, slack=None):
+        got = _target_indices(values, costs, slack)
+        answers.append((slack, got))
+        return got
+
+    monkeypatch.setattr(noise, "_target_indices", counted)
+    _quiet(solve_deterministic_noisy, scen, "utility")
+    assert len(answers) == 2 * (n + 1)
+    assert all(slack is not None and got is not None for slack, got in answers)
+    moved = sum(bool(np.any(got != np.arange(n))) for _, got in answers)
+    assert moved == with_movers
+
+
 def test_every_cut_takes_the_matvec_once_slack_reaches_the_band(monkeypatch):
     # the figure the noisy sweep's docstring states, for a unit row sum
     def slack(n):
@@ -244,7 +300,7 @@ def test_every_cut_takes_the_matvec_once_slack_reaches_the_band(monkeypatch):
 
     assert slack(2248) < KNIFE_EDGE_ATOL <= slack(2249)
     # past that size no point is read off the cheap curve
-    scen = _random_scenario(7, 9, separable=True, groups=2, edge=False, tie=False)
+    scen = _random_scenario(7, 9, separable=True, groups=2, edge=False, tie=False, gaussian=False)
     monkeypatch.setattr(noise, "KNIFE_EDGE_ATOL", 0.0)
     points = _quiet(threshold_sweep, scen)
     for p, rep in zip(points, _reference(scen)):

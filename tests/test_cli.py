@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 import threading
 import time
 
 import pytest
 
-from stratclass import model
+from stratclass import cli, model
 from stratclass.cli import main
 from stratclass.reproduce import TARGETS
 from stratclass.solvers import LP_MAX_POINTS
@@ -340,6 +341,8 @@ class TestSweep:
                     live[0] -= 1
 
         monkeypatch.setattr(model.NoiseKernel, "gaussian", classmethod(counted))
+        # four usable CPUs, so only the kernel budget can hold the pool below four
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         args = ("sweep", files["s2det"], "--param", "sigma", "--range", "0.1:1:8")
         outs = []
         for limit in (model.DENSE_BYTES_LIMIT, 2 * 8 * 2 * 2):
@@ -350,6 +353,45 @@ class TestSweep:
             outs.append(out)
         assert peaks == [4, 2]
         assert outs[0] == outs[1] == run(capsys, *args)[1]
+
+    def test_threads_capped_at_usable_cpus(self, files, capsys, monkeypatch):
+        # record the pool's size instead of starting its threads
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, values):
+                return map(fn, values)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
+        args = ("sweep", files["grouped"], "--param", "tau", "--range", "-1:1:5")
+        want = run(capsys, *args)[1]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
+        assert run(capsys, *args, "--threads", "2") == (0, want, "")
+        # without an affinity mask the CPU count decides, and an unknown one means one
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
+        assert sizes == [3, 2, 4]
+
+    @pytest.mark.parametrize("text", ["nan:1:3", "0:inf:3", "-1e308:1e308:3"])
+    def test_non_finite_range_refused(self, files, capsys, text):
+        # the last one's lo and hi are finite, but hi - lo overflows
+        rc, out, err = run(capsys, "sweep", files["s2"], "--param", "tau", "--range", text)
+        assert rc == 2
+        assert out == ""
+        assert err == f"error: --range needs finite lo, hi and hi - lo, got {text!r}\n"
 
     @pytest.mark.parametrize("threads", ["0", "-3"])
     def test_threads_below_one_refused(self, files, capsys, threads):
