@@ -11,7 +11,8 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
   apply); ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
   as many threads as the process may use CPUs.  A sigma sweep runs at most
-  as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``.
+  as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``, and
+  ``--range`` is refused above 2**20 steps, whose rows fill that budget.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` overrides its tolerances.
 
@@ -33,7 +34,13 @@ from typing import Any, Callable, Iterable, TextIO
 
 import numpy as np
 
-from .model import Classifier, SubpopulationScenario, ValidationError, _dense_fit_count
+from .model import (
+    DENSE_BYTES_LIMIT,
+    Classifier,
+    SubpopulationScenario,
+    ValidationError,
+    _dense_fit_count,
+)
 from .noise import solve_deterministic_noisy, subpop_accuracies
 from .reproduce import ReproduceResult, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
@@ -42,6 +49,15 @@ from .solvers import LP_MAX_POINTS, solve_efficiency_lp
 __all__ = ["main"]
 
 _SWEEP_COLUMNS = ("param", "U", "U_A", "U_B", "gap", "E")
+
+# A sweep holds every row until it writes them.  tracemalloc puts the peak of
+# `sweep --param tau` on a two-group file, between 2,000 and 12,000 steps, at
+# 265 B a row serial with CSV output and at 1,860-1,864 B a row with JSON
+# output (a record and its text) or with --threads 2 (a future per row, all
+# made up front by pool.map).  Budgeting 2 KiB a row on every path keeps the
+# rows within DENSE_BYTES_LIMIT: 2**31 / 2**11 = 2**20 steps at most.
+_SWEEP_ROW_BYTES = 2048
+_MAX_SWEEP_STEPS = DENSE_BYTES_LIMIT // _SWEEP_ROW_BYTES
 
 
 class CliError(Exception):
@@ -189,6 +205,8 @@ def _parse_range(text: str) -> np.ndarray:
         raise CliError(f"--range expects lo:hi:steps, got {text!r}") from None
     if steps < 2:
         raise CliError("--range needs steps >= 2")
+    if steps > _MAX_SWEEP_STEPS:
+        raise CliError(f"--range allows at most {_MAX_SWEEP_STEPS} steps, got {steps}")
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(hi - lo)):
         raise CliError(f"--range needs finite lo, hi and hi - lo, got {text!r}")
     return np.linspace(lo, hi, steps)

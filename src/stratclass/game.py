@@ -298,16 +298,14 @@ def best_response(f: Classifier, c: CostFunction) -> BestResponse:
     return _respond(f, None, c, True)
 
 
-def _accuracy(pi: np.ndarray, h: np.ndarray, accepted: np.ndarray) -> float:
-    """Expected accuracy when point i is accepted with probability accepted[i]."""
-    return float(np.dot(pi, accepted * (2.0 * h - 1.0) + (1.0 - h)))
+def _accuracy(pi: np.ndarray, x: np.ndarray) -> float:
+    """Expected accuracy, x[i] = (acceptance at i's target) (2h_i - 1) + 1 - h_i."""
+    return float(np.dot(pi, x))
 
 
-def _strategy_cost(
-    pi: np.ndarray, h: np.ndarray, c: CostFunction, target: np.ndarray
-) -> float:
-    """Manipulation spend of the qualified mass under targets ``target``."""
-    return float(np.dot(pi * h, c.at(np.arange(pi.size), target)))
+def _strategy_cost(pih: np.ndarray, k: np.ndarray) -> float:
+    """Manipulation spend of the qualified mass pi h, k[i] the cost of i's move."""
+    return float(np.dot(pih, k))
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,26 +324,68 @@ class SubpopReport:
         return self.utility - self.cost
 
 
-def _subpop_report(
-    scenario: SubpopulationScenario, q: np.ndarray, targets: list[np.ndarray]
-) -> SubpopReport:
-    """Reduce each group's targets against acceptance ``q`` to its payoffs."""
-    pop = scenario.pop
-    us = [_accuracy(pop.pi, pop.h, q[t]) for t in targets]
-    ks = [
-        _strategy_cost(pop.pi, pop.h, fn, t)
-        for fn, t in zip(scenario.cost_fns, targets)
-    ]
-    us_arr = np.array(us)
-    ks_arr = np.array(ks)
-    return SubpopReport(
-        labels=scenario.labels,
-        utilities=tuple(us),
-        costs=tuple(ks),
-        utility=float(np.dot(scenario.shares, us_arr)),
-        cost=float(np.dot(scenario.shares, ks_arr)),
-        gap=float(us_arr.max() - us_arr.min()),
-    )
+class _Payoffs:
+    """A scenario's payoff reduction, from invariants built once.
+
+    Group g's accuracy is pi . x with x[i] = q[t_i] w_i + v_i, w = 2h - 1,
+    v = 1 - h, and its spend is (pi h) . k with k[i] = c_g(i, t_i), for
+    targets t and acceptance q.  Each is one ``np.dot`` over a vector of
+    length n, in :func:`_accuracy` and :func:`_strategy_cost`; ``x`` holds
+    one reused buffer per group.  A caller may also write x and k itself
+    and pass them to :meth:`reduce`.
+    """
+
+    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "rows", "x")
+
+    def __init__(self, scenario: SubpopulationScenario):
+        pop = scenario.pop
+        self.pi = pop.pi
+        self.w = 2.0 * pop.h - 1.0
+        self.v = 1.0 - pop.h
+        self.pih = pop.pi * pop.h
+        self.shares = scenario.shares
+        self.labels = scenario.labels
+        self.fns = scenario.cost_fns
+        idx = np.arange(pop.space.n)
+        # a separable cost reads a[:] for the rows, without a gather
+        self.rows = [idx if fn._a is None else slice(None) for fn in self.fns]
+        self.x = [np.empty(idx.size) for _ in self.fns]
+
+    def group(self, g: int, q: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+        """Group g's accuracy and spend under ``target``, facing ``q``."""
+        x = self.x[g]
+        np.multiply(q[target], self.w, out=x)
+        x += self.v
+        return self.reduce(x, self.fns[g].at(self.rows[g], target))
+
+    def reduce(self, x: np.ndarray, k: np.ndarray) -> tuple[float, float]:
+        """A group's accuracy and spend from its vectors x and k."""
+        return _accuracy(self.pi, x), _strategy_cost(self.pih, k)
+
+    def totals(self, us: list[float], ks: list[float]) -> tuple[float, float, float]:
+        """Share-weighted utility and spend, and the gap, of the groups' payoffs."""
+        us_arr = np.array(us)
+        ks_arr = np.array(ks)
+        return (
+            float(np.dot(self.shares, us_arr)),
+            float(np.dot(self.shares, ks_arr)),
+            float(us_arr.max() - us_arr.min()),
+        )
+
+    def groups(self, q: np.ndarray, targets: list[np.ndarray]) -> tuple[list[float], list[float]]:
+        """Each group's accuracy and spend under its targets, facing ``q``."""
+        us, ks = [], []
+        for g, t in enumerate(targets):
+            u, k = self.group(g, q, t)
+            us.append(u)
+            ks.append(k)
+        return us, ks
+
+    def report(self, q: np.ndarray, targets: list[np.ndarray]) -> SubpopReport:
+        """Reduce each group's targets against acceptance ``q`` to its payoffs."""
+        us, ks = self.groups(q, targets)
+        utility, cost, gap = self.totals(us, ks)
+        return SubpopReport(self.labels, tuple(us), tuple(ks), utility, cost, gap)
 
 
 def subpop_accuracies(
@@ -358,7 +398,7 @@ def subpop_accuracies(
     _require_same_space(scenario.pop, f)
     q = effective_acceptance(f, scenario.kernel)
     targets = [_target_indices(q, fn) for fn in scenario.cost_fns]
-    return _subpop_report(scenario, q, targets)
+    return _Payoffs(scenario).report(q, targets)
 
 
 def utility(f: Classifier, pop: Population, c: CostFunction) -> float:

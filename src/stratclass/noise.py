@@ -7,8 +7,13 @@ Contestants best-respond to q exactly as they would to a classifier.
 
 The evaluation itself lives in :mod:`stratclass.game`; the ``noisy_*``
 payoffs are one-group wrappers over it.  :func:`threshold_sweep` evaluates
-every threshold cut of a subpopulation scenario with the same per-group
-reduction, and :func:`solve_deterministic_noisy` is the one scan for the best.
+every threshold cut of a subpopulation scenario, and
+:func:`solve_deterministic_noisy` is the one scan for the best.  A sweep
+builds one per-group reduction (:class:`~stratclass.game._Payoffs`: w = 2h - 1,
+v = 1 - h, pi h and a buffer per group) and reduces every cut through it, each
+group's accuracy and spend one dot product a cut.  Without noise the fast path
+only names each cut's movers and their costs and writes them into reused
+buffers; with noise every cut still takes its own best responses.
 
 A noisy sweep does not take one matvec per cut.  Each cut's curve q~ comes
 off one cumulative sum over the kernel's columns and lies within
@@ -38,8 +43,8 @@ from .game import (
     KNIFE_EDGE_ATOL,
     BestResponse,
     SubpopReport,
+    _Payoffs,
     _respond,
-    _subpop_report,
     _target_indices,
     effective_acceptance,
     subpop_accuracies,
@@ -146,24 +151,28 @@ def _fast_path_ok(c: CostFunction) -> bool:
     return not np.any(hi > lo)
 
 
-def _fast_threshold_targets(c: CostFunction, start: int) -> np.ndarray:
-    """Best response to a noiseless suffix classifier under monotone rows.
+def _fast_threshold_targets(c: CostFunction, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """Who jumps to a noiseless suffix classifier under monotone rows, at what cost.
 
-    Everyone below the threshold whose first accepted point costs under the
-    unit gain (read through ``c.at``) jumps there; that point is the
-    cheapest accepted one and the smallest index.  This matches the generic
-    path when no cost lies within KNIFE_EDGE_ATOL of the unit gain, where it
-    would warn.  A tabular cost is tested on its matrix; a separable cost has
-    monotone rows by construction, and a sorted search on ``a`` looks for
-    a[j] near a[i] + 1 (:func:`_fast_path_ok`).
+    Returns the contestants below ``start`` whose first accepted point costs
+    under the unit gain (read through ``c.at``), and those costs; each of
+    them jumps there, the cheapest accepted point and the smallest index,
+    and everyone else stays.  This matches the generic path when no cost
+    lies within KNIFE_EDGE_ATOL of the unit gain, where it would warn.  A
+    tabular cost is tested on its matrix; a separable cost has monotone rows
+    by construction, and a sorted search on ``a`` looks for a[j] near
+    a[i] + 1 (:func:`_fast_path_ok`).
     """
-    target = np.arange(c.n)
-    if 0 < start < c.n:
-        # the same banded comparison _target_indices applies, with gain = 1.0
-        movers = 1.0 > c.at(target[:start], start) + KNIFE_EDGE_ATOL
-        target[:start][movers] = start
-    return target
+    if not 0 < start < c.n:
+        return _NO_MOVERS, _NO_COSTS
+    cost = c.at(slice(0, start), start)
+    # the same banded comparison _target_indices applies, with gain = 1.0
+    movers = (1.0 > cost + KNIFE_EDGE_ATOL).nonzero()[0]
+    return movers, cost[movers]
 
+
+_NO_MOVERS = np.zeros(0, dtype=np.intp)
+_NO_COSTS = np.zeros(0)
 
 # cuts whose cheap curves are built together; one block holds n x 64 floats
 _CUT_BLOCK = 64
@@ -175,26 +184,20 @@ def _gamma(k: int) -> float:
     return k * _UNIT / (1.0 - k * _UNIT)
 
 
-def _suffix(n: int, start: int) -> np.ndarray:
-    probs = np.zeros(n)
-    probs[start:] = 1.0
-    return probs
-
-
-def _sweep_point(
-    scenario: SubpopulationScenario, start: int, q: np.ndarray, targets: list[np.ndarray]
+def _cut_point(
+    payoffs: _Payoffs, taus: list[float], start: int, us: list[float], ks: list[float]
 ) -> SweepPoint:
-    rep = _subpop_report(scenario, q, targets)
+    utility, cost, gap = payoffs.totals(us, ks)
     return SweepPoint(
-        tau=float(scenario.space.points[max(start - 1, 0)]),
+        tau=taus[max(start - 1, 0)],
         strict=start > 0,
         start=start,
-        utility=rep.utility,
-        cost=rep.cost,
-        efficiency=rep.efficiency,
-        subpop_utilities=rep.utilities,
-        subpop_costs=rep.costs,
-        gap=rep.gap,
+        utility=utility,
+        cost=cost,
+        efficiency=utility - cost,
+        subpop_utilities=tuple(us),
+        subpop_costs=tuple(ks),
+        gap=gap,
     )
 
 
@@ -204,9 +207,17 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     Returns one point per distinct acceptance suffix (n + 1 in all), from
     accept-all (``start`` = 0) up.  Each is labelled by the first (tau,
     strict) pair that produces it: ``(points[0], False)`` for accept-all and
-    ``(points[start - 1], True)`` for every other cut.  Without noise, a
-    cost that passes :func:`_fast_path_ok` (on its matrix if tabular, on
-    ``a`` if separable) takes the fast path; the rest take the generic one.
+    ``(points[start - 1], True)`` for every other cut.  One
+    :class:`~stratclass.game._Payoffs` is built for the sweep, and every
+    cut's groups are reduced through it; each point is bit for bit what
+    :func:`subpop_accuracies` gives at that cut, up to the noisy scan's
+    rounding stated below.  Without noise, a cost that passes
+    :func:`_fast_path_ok` (on its matrix if tabular, on ``a`` if separable)
+    takes the fast path: :func:`_fast_threshold_targets` names the cut's
+    movers and their costs, and :func:`_noiseless_sweep` writes them into
+    the group's reused x and k buffers, with no target array or report per
+    cut.  The rest take the generic best response on the cut's suffix
+    classifier.
 
     With noise, cut s faces q = rows @ p, p the indicator of indices >= s,
     and :func:`_noisy_sweep` reads every cut's curve off one cumulative sum
@@ -283,22 +294,59 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     threshold, then make nearly every cut fall back, so from there on each
     cut takes the matvec at once: correct, but no faster than before.
     """
+    payoffs = _Payoffs(scenario)
+    taus = scenario.space.points.tolist()
+    sweep = _noiseless_sweep if scenario.kernel is None else _noisy_sweep
+    return sweep(scenario, payoffs, taus)
+
+
+def _noiseless_sweep(
+    scenario: SubpopulationScenario, payoffs: _Payoffs, taus: list[float]
+) -> tuple[SweepPoint, ...]:
+    """The noiseless branch of :func:`threshold_sweep`.
+
+    At cut s everyone at or above s is accepted and stays, so a fast-path
+    group's x is w + v from s up and v below it, except at the movers, who
+    are accepted too; its k is zero but at the movers.  Both are written
+    into the group's buffers, x in full and k at the movers of this cut and
+    the last one, and reduced as :class:`~stratclass.game._Payoffs` does:
+    the same floats, since 1 * w is exact and 0 * w + v is v.
+    """
     n = scenario.space.n
-    if scenario.kernel is not None:
-        return _noisy_sweep(scenario)
-    fast_ok = [_fast_path_ok(fn) for fn in scenario.cost_fns]
+    fns = scenario.cost_fns
+    fast_ok = [_fast_path_ok(fn) for fn in fns]
+    v = payoffs.v
+    wv = payoffs.w + v
+    ks = [np.zeros(n) for _ in fns]
+    movers = [_NO_MOVERS for _ in fns]
+    probs = np.ones(n)  # the cut's suffix classifier, for the generic path
     out = []
     for start in range(n + 1):
-        probs = _suffix(n, start)
-        targets = [
-            _fast_threshold_targets(fn, start) if fast else _target_indices(probs, fn)
-            for fast, fn in zip(fast_ok, scenario.cost_fns)
-        ]
-        out.append(_sweep_point(scenario, start, probs, targets))
+        if start:
+            probs[start - 1] = 0.0
+        us, costs = [], []
+        for g, fn in enumerate(fns):
+            if fast_ok[g]:
+                x, k = payoffs.x[g], ks[g]
+                k[movers[g]] = 0.0
+                moved, paid = _fast_threshold_targets(fn, start)
+                x[:start] = v[:start]
+                x[start:] = wv[start:]
+                x[moved] = wv[moved]
+                k[moved] = paid
+                movers[g] = moved
+                u, c = payoffs.reduce(x, k)
+            else:
+                u, c = payoffs.group(g, probs, _target_indices(probs, fn))
+            us.append(u)
+            costs.append(c)
+        out.append(_cut_point(payoffs, taus, start, us, costs))
     return tuple(out)
 
 
-def _noisy_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
+def _noisy_sweep(
+    scenario: SubpopulationScenario, payoffs: _Payoffs, taus: list[float]
+) -> tuple[SweepPoint, ...]:
     """The noisy branch of :func:`threshold_sweep`; its bounds are derived there."""
     kernel = scenario.kernel
     rows = kernel.rows
@@ -313,17 +361,26 @@ def _noisy_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     stay = np.arange(n)
     # certified cut -> each group's movers and their targets, O(movers) memory
     held: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    probs = np.empty(n)
+
+    def matvec(start: int) -> np.ndarray:
+        probs[:start] = 0.0
+        probs[start:] = 1.0
+        return rows @ probs
+
+    def evaluate(start: int, q: np.ndarray, targets: list[np.ndarray]) -> None:
+        points[start] = _cut_point(payoffs, taus, start, *payoffs.groups(q, targets))
 
     def visit(start: int, approx: np.ndarray) -> None:
         targets = [_target_indices(approx, fn, slack) if cheap else None for fn in fns]
         if all(t is not None for t in targets):
             movers = [np.flatnonzero(t != stay) for t in targets]
             held[start] = [(moved, t[moved]) for moved, t in zip(movers, targets)]
-            points[start] = _sweep_point(scenario, start, approx, targets)
+            evaluate(start, approx, targets)
             return
-        q = rows @ _suffix(n, start)
+        q = matvec(start)
         targets = [_target_indices(q, fn) if t is None else t for t, fn in zip(targets, fns)]
-        points[start] = _sweep_point(scenario, start, q, targets)
+        evaluate(start, q, targets)
 
     tail = np.zeros(n)
     visit(n, tail)
@@ -354,7 +411,7 @@ def _noisy_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
             targets = [stay.copy() for _ in moves]
             for t, (moved, dest) in zip(targets, moves):
                 t[moved] = dest
-            points[start] = _sweep_point(scenario, start, rows @ _suffix(n, start), targets)
+            evaluate(start, matvec(start), targets)
     return tuple(points)
 
 

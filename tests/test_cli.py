@@ -8,10 +8,12 @@ import re
 import threading
 import time
 
+import numpy as np
 import pytest
 
 from stratclass import cli, model
 from stratclass.cli import main
+from stratclass.model import DENSE_BYTES_LIMIT
 from stratclass.reproduce import TARGETS
 from stratclass.solvers import LP_MAX_POINTS
 
@@ -423,6 +425,25 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", files["s2"], "--param", "tau", "--range", "0:1:1")
         assert rc == 2
         assert "steps >= 2" in err
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_huge_step_count_refused_before_allocating(self, files, capsys, monkeypatch, threads):
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.linspace called")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        rc, out, err = run(
+            capsys, "sweep", files["grouped"], "--param", "tau",
+            "--range", "0:1:10000000000000", "--threads", threads,
+        )
+        assert (rc, out) == (2, "")
+        assert err == f"error: --range allows at most {cli._MAX_SWEEP_STEPS} steps, got 10000000000000\n"
+
+    def test_step_cap_is_the_row_budget(self):
+        assert cli._MAX_SWEEP_STEPS == DENSE_BYTES_LIMIT // cli._SWEEP_ROW_BYTES == 2**20
+        assert cli._parse_range(f"0:1:{cli._MAX_SWEEP_STEPS}").size == cli._MAX_SWEEP_STEPS
+        with pytest.raises(cli.CliError, match="at most"):
+            cli._parse_range(f"0:1:{cli._MAX_SWEEP_STEPS + 1}")
 
     def test_share_sweep_needs_two_groups(self, files, capsys):
         rc, _, err = run(capsys, "sweep", files["s2"], "--param", "s_A", "--range", "0.2:0.8:3")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import sys
 import threading
 import warnings
@@ -165,7 +165,11 @@ class TestFastThresholdPath:
         for start in range(n + 1):
             probs = np.zeros(n)
             probs[start:] = 1.0
-            fast = _fast_threshold_targets(c, start)
+            movers, paid = _fast_threshold_targets(c, start)
+            assert np.all(movers < start)
+            assert paid.tobytes() == np.array([costs[i, start] for i in movers]).tobytes()
+            fast = np.arange(n)
+            fast[movers] = start
             assert fast.tolist() == _quiet_targets(probs, costs).tolist()
             assert fast.tolist() == reference_targets(probs, costs)
 
@@ -295,6 +299,102 @@ def test_noiseless_sweep_matches_tabular_copies(seed, n):
     want, want_warned = _recorded(threshold_sweep, tabular)
     assert _bits(got) == _bits(want)
     assert got_warned == want_warned
+
+
+# -------------------------------------- noiseless sweep against per-cut payoffs
+
+
+def _sweep_cost(rng: np.random.Generator, space: FeatureSpace, kind: str) -> CostFunction:
+    """A cost of one kind, often with an entry within 2 KNIFE_EDGE_ATOL of the unit gain.
+
+    ``shift`` is separable, with flat stretches and rises at or beside 1;
+    ``shift-table`` is its tabular copy; ``simple`` is a tabular cost that no
+    ``a`` describes.  An entry within KNIFE_EDGE_ATOL of 1 makes
+    :func:`_fast_path_ok` refuse the cost, so the generic path runs.
+    """
+    n = space.n
+    if kind != "simple":
+        c = shift_cost(space, _near_unit_rise(rng, n))
+        return c if kind == "shift" else CostFunction(space, c.costs)
+    c = random_simple_cost(rng, space, scale=float(rng.uniform(0.05, 2.0)))
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    below = c.costs[upper & (c.costs < 1.0)]
+    if below.size == 0 or rng.random() < 0.3:
+        return c
+    # a constant lift of the upper triangle keeps every row nondecreasing
+    offset = float(rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])) * KNIFE_EDGE_ATOL
+    return CostFunction(space, np.where(upper, c.costs + 1.0 - float(rng.choice(below)) + offset, 0.0))
+
+
+def _sweep_population(rng: np.random.Generator, space: FeatureSpace) -> Population:
+    """Random masses, and h with runs of exact 0 and 1, where 0 * (2h - 1) is -0.0."""
+    n = space.n
+    h = np.sort(rng.uniform(0.0, 1.0, size=n))
+    h[: int(rng.integers(n + 1))] = 0.0
+    h[n - int(rng.integers(n + 1)) :] = 1.0
+    return Population(space, rng.dirichlet(np.ones(n)), h)
+
+
+def _assert_sweep_is_per_cut_payoffs(scen: SubpopulationScenario) -> None:
+    """Every point of the sweep, bit for bit, is ``subpop_accuracies`` at its cut."""
+    space = scen.space
+    points = _recorded(threshold_sweep, scen)[0]
+    assert [p.start for p in points] == list(range(space.n + 1))
+    for p in points:
+        clf = Classifier.threshold(space, p.tau, strict=p.strict)
+        rep = _recorded(subpop_accuracies, clf, scen)[0]
+        cut = np.zeros(space.n)
+        cut[p.start :] = 1.0
+        assert clf.probs.tobytes() == cut.tobytes()
+        assert (p.tau, p.strict) == (float(space.points[max(p.start - 1, 0)]), p.start > 0)
+        got = (p.utility, p.cost, p.efficiency, p.subpop_utilities, p.subpop_costs, p.gap)
+        want = (rep.utility, rep.cost, rep.efficiency, rep.utilities, rep.costs, rep.gap)
+        assert repr(got) == repr(want), p.start
+
+
+_COST_KINDS = ("shift", "shift-table", "simple")
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 40),
+    kinds=st.lists(st.sampled_from(_COST_KINDS), min_size=1, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_noiseless_sweep_matches_per_cut_payoffs(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, n)
+    fns = tuple(_sweep_cost(rng, space, kind) for kind in kinds)
+    scen = SubpopulationScenario(
+        pop=_sweep_population(rng, space),
+        shares=rng.dirichlet(np.ones(len(fns))),
+        cost_fns=fns,
+    )
+    _assert_sweep_is_per_cut_payoffs(scen)
+
+
+def test_sweep_cost_draws_take_both_paths():
+    # the draws above reach the fast and the generic path for every kind
+    seen = set()
+    for seed in range(60):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, 12)
+        for kind in _COST_KINDS:
+            seen.add((kind, _fast_path_ok(_sweep_cost(rng, space, kind))))
+    assert seen == {(kind, ok) for kind in _COST_KINDS for ok in (True, False)}
+
+
+def test_noiseless_sweep_matches_per_cut_payoffs_at_scale(unfair_disc, monkeypatch):
+    # reproduce thm3's n = 801 instance, and the rebuild-1601 benchmark grid at seed 0
+    _assert_sweep_is_per_cut_payoffs(unfair_disc.scenario)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    loaded = parse_scenario(workloads.scenario_yaml("rebuild-1601", 0))
+    assert loaded.scenario.kernel is None and loaded.scenario.space.n == 1601
+    _assert_sweep_is_per_cut_payoffs(loaded.scenario)
 
 
 _SHIFT_KINDS = {
