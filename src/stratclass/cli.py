@@ -29,8 +29,9 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Iterable, TextIO
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 import numpy as np
 
@@ -50,12 +51,13 @@ __all__ = ["main"]
 
 _SWEEP_COLUMNS = ("param", "U", "U_A", "U_B", "gap", "E")
 
-# A sweep holds every row until it writes them.  tracemalloc puts the peak of
-# `sweep --param tau` on a two-group file, between 2,000 and 12,000 steps, at
-# 265 B a row serial with CSV output and at 1,860-1,864 B a row with JSON
-# output (a record and its text) or with --threads 2 (a future per row, all
-# made up front by pool.map).  Budgeting 2 KiB a row on every path keeps the
-# rows within DENSE_BYTES_LIMIT: 2**31 / 2**11 = 2**20 steps at most.
+# A sweep holds every row until it writes them, so stdout gets the whole sweep
+# or nothing.  tracemalloc puts the peak of `sweep --param tau` on a two-group
+# file, between 2,000 and 12,000 steps, at 263-266 B a row with CSV output and
+# at about 1,880 B a row with JSON output (a record and its text), with one
+# thread or two: at most 2 x threads futures are in flight.  Budgeting 2 KiB a
+# row on every path keeps the rows within DENSE_BYTES_LIMIT: 2**31 / 2**11 =
+# 2**20 steps at most.
 _SWEEP_ROW_BYTES = 2048
 _MAX_SWEEP_STEPS = DENSE_BYTES_LIMIT // _SWEEP_ROW_BYTES
 
@@ -278,12 +280,7 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         scen, clf = build(float(v))
         return _sweep_row(float(v), scen, clf)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(row, values))  # ordered, so output is stable
-    else:
-        rows = [row(v) for v in values]
-
+    rows = list(_in_order(row, values, threads))
     if args.format == "json":
         records = [dict(zip(_SWEEP_COLUMNS, map(_jsonable, r))) for r in rows]
         out.write(json.dumps(records, indent=2) + "\n")
@@ -292,6 +289,20 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         for r in rows:
             _write_csv_row(out, (_cell(v) for v in r))
     return 0
+
+
+def _in_order(fn: Callable[[float], list], values: np.ndarray, threads: int) -> Iterator[list]:
+    """``map(fn, values)`` on ``threads`` workers, with at most 2 x threads rows in flight."""
+    if threads == 1:
+        yield from map(fn, values)
+        return
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        window: deque[Future] = deque()
+        for v in values:
+            window.append(pool.submit(fn, v))
+            if len(window) == 2 * threads:
+                yield window.popleft().result()
+        yield from (f.result() for f in window)
 
 
 # -------------------------------------------------------------- reproduce

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import ndtr
 
 __all__ = [
@@ -50,9 +51,13 @@ LIPSCHITZ_ATOL = 1e-9
 # instance's two group costs plus its kernel at n = 6401 (0.98 GB) fit, and a
 # kernel at n = 20001 (3.2 GB) does not.
 DENSE_BYTES_LIMIT = 2 * 2**30
-# Bytes of the cdf block NoiseKernel.gaussian evaluates at a time: one block
-# stays in a core's cache while its rows are differenced, checked and rescaled.
+# Bytes of the two blocks NoiseKernel.gaussian works in at a time, half each:
+# the cdf arguments (float64) and their table offsets (int64).  Both stay in a
+# core's cache while their rows are looked up, differenced, checked and rescaled.
 _KERNEL_BLOCK_BYTES = 2**20
+# NoiseKernel.gaussian tabulates the normal cdf at the floats this many ulps
+# (bit patterns) either side of each diagonal's reference argument.
+_CDF_TABLE_ULPS = 8
 
 
 class ValidationError(ValueError):
@@ -397,9 +402,11 @@ def _normalise_rows(r: np.ndarray, first: int = 0) -> None:
     clipped), and each row must sum to 1 within ``PROB_ATOL``.  ``first`` is
     the kernel index of ``r``'s first row, so a block names its global row.
     """
-    if not np.all(np.isfinite(r)):
+    # NaN carries through both reductions, so one pass each finds every bad entry
+    least, most = r.min(), r.max()
+    if not (np.isfinite(least) and np.isfinite(most)):
         raise ValidationError("rows: entries must be finite")
-    if np.any(r < -PROB_ATOL):
+    if least < -PROB_ATOL:
         raise ValidationError("rows: entries must be nonnegative")
     np.clip(r, 0.0, None, out=r)
     sums = r.sum(axis=1)
@@ -453,12 +460,23 @@ class NoiseKernel:
 
         Row i holds the mass of Normal(points[i], sigma) over each cell of
         the grid (cells are delimited by neighbour midpoints, outer cells
-        extend to infinity), renormalised to close exactly.  The rows are
-        written straight into the one n x n array the kernel keeps, a block
-        of about ``_KERNEL_BLOCK_BYTES`` at a time, and each block is checked
-        and rescaled as the constructor would while it is still in cache.
-        So a build peaks at that array plus one block, and the constructor
-        keeps it without a copy.
+        extend to infinity), renormalised to close exactly: the differences
+        along j of ndtr(z), z[i, j] = (edges[j] - points[i]) / sigma.
+
+        On a near-uniform grid z barely changes along a diagonal k = j - i,
+        so ndtr runs on an O(n) table: for each k, at the 2w + 1 floats whose
+        int64 bits lie within w = ``_CDF_TABLE_ULPS`` of those of one
+        reference z on that diagonal.  An entry reads the table only where
+        its own bits are a slot's argument bits, and the others (all of them
+        on a grid far from uniform) call ndtr.  So every entry is ndtr of its
+        own float, bit for bit, on any grid; the table only saves calls.
+
+        The rows are written straight into the one n x n array the kernel
+        keeps, a block of rows at a time (the argument and offset blocks
+        share ``_KERNEL_BLOCK_BYTES``), and each block is checked and
+        rescaled as the constructor would while it is still in cache.  So a
+        build peaks at that array plus the blocks and the table, and the
+        constructor keeps it without a copy.
         """
         if sigma < 0:
             raise ValidationError("sigma: must be nonnegative")
@@ -468,18 +486,36 @@ class NoiseKernel:
         _require_dense_fits(n, 1)
         points = space.points
         edges = _cell_edges(points)
+        w = _CDF_TABLE_ULPS
+        # diagonal k = j - i, stored at k + n - 1, spans rows max(0, -k)..min(n - 1, n - k)
+        k = np.arange(-(n - 1), n + 1)
+        mid = (np.maximum(0, -k) + np.minimum(n - 1, n - k)) // 2
+        with np.errstate(over="ignore"):  # a z beyond the float range is its limit, inf
+            ref = (edges[mid + k] - points[mid]) / sigma
+        start = ref.view(np.int64) - w
+        table = ndtr((start[:, None] + np.arange(2 * w + 1)).view(np.float64)).ravel()
+        # row i of each Toeplitz view holds diagonals j - i for j = 0..n, without a copy
+        starts = sliding_window_view(start, n + 1)[::-1]
+        bases = sliding_window_view(np.arange(0, table.size, 2 * w + 1), n + 1)[::-1]
         rows = np.empty((n, n))
-        height = min(n, max(1, _KERNEL_BLOCK_BYTES // (8 * (n + 1))))
-        block = np.empty((height, n + 1))
+        height = min(n, max(1, _KERNEL_BLOCK_BYTES // (16 * (n + 1))))
+        zs = np.empty((height, n + 1))
+        offsets = np.empty((height, n + 1), dtype=np.int64)
         for lo in range(0, n, height):
             hi = min(lo + height, n)
-            z = block[: hi - lo]
-            with np.errstate(over="ignore"):  # a z beyond the float range is its limit, inf
+            z, o = zs[: hi - lo], offsets[: hi - lo]
+            with np.errstate(over="ignore"):
                 np.subtract(edges, points[lo:hi, None], out=z)
                 z /= sigma
+            np.subtract(z.view(np.int64), starts[lo:hi], out=o)
+            miss = o.view(np.uint64) > 2 * w
+            missed = ndtr(z[miss])
+            o += bases[lo:hi]
+            # "clip", not "raise": the latter buffers a copy of its output.
             # ndtr(-inf) and ndtr(inf) are exactly 0 and 1, so the open outer
             # cells close exactly
-            ndtr(z, out=z)
+            np.take(table, o, out=z, mode="clip")
+            z[miss] = missed
             np.subtract(z[:, 1:], z[:, :-1], out=rows[lo:hi])
             _normalise_rows(rows[lo:hi], lo)
         return cls(space, _Normalised(rows))

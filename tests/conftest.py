@@ -7,6 +7,10 @@ share each result.
 
 from __future__ import annotations
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -22,6 +26,7 @@ from stratclass import (
     solve_deterministic_noisy,
     threshold_sweep,
 )
+from stratclass.scenario import parse_scenario
 
 
 @pytest.fixture()
@@ -99,3 +104,17 @@ def benefit_inst():
     return GaussianInstance(
         t=0.9 * root_2pi, d=1000.0, sigma_a=0.1, sigma_b=1.0, s_a=0.5, sigma=1.0
     )
+
+
+@pytest.fixture(scope="session")
+def rebuild_1601():
+    """The rebuild-1601 benchmark scenario at seed 0, read from perfbench/workloads.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look it up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return parse_scenario(workloads.scenario_yaml("rebuild-1601", 0))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib.util
+import importlib
 import sys
 import threading
 import warnings
@@ -384,17 +384,11 @@ def test_sweep_cost_draws_take_both_paths():
     assert seen == {(kind, ok) for kind in _COST_KINDS for ok in (True, False)}
 
 
-def test_noiseless_sweep_matches_per_cut_payoffs_at_scale(unfair_disc, monkeypatch):
+def test_noiseless_sweep_matches_per_cut_payoffs_at_scale(unfair_disc, rebuild_1601):
     # reproduce thm3's n = 801 instance, and the rebuild-1601 benchmark grid at seed 0
     _assert_sweep_is_per_cut_payoffs(unfair_disc.scenario)
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    loaded = parse_scenario(workloads.scenario_yaml("rebuild-1601", 0))
-    assert loaded.scenario.kernel is None and loaded.scenario.space.n == 1601
-    _assert_sweep_is_per_cut_payoffs(loaded.scenario)
+    assert rebuild_1601.scenario.kernel is None and rebuild_1601.scenario.space.n == 1601
+    _assert_sweep_is_per_cut_payoffs(rebuild_1601.scenario)
 
 
 _SHIFT_KINDS = {

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import ndtr
 
 from stratclass import (
     Classifier,
@@ -23,6 +24,8 @@ from stratclass import (
     validate_simple_cost,
 )
 from stratclass import model
+from stratclass.analytic import _symmetric_grid
+from stratclass.scenario import noise_rebuilder
 from stratclass.sampling import (
     random_dominating_pair,
     random_population,
@@ -193,6 +196,34 @@ class TestClassifier:
         assert not is_lipschitz(Classifier(pop.space, [0.0, 1.0]), cost)
 
 
+def _gaussian_rows_by_definition(points: np.ndarray, sigma: float) -> np.ndarray:
+    """Kernel rows straight from the definition: ndtr of every cdf argument at once."""
+    edges = model._cell_edges(points)
+    with np.errstate(over="ignore"):
+        z = (edges - points[:, None]) / sigma
+    rows = np.diff(ndtr(z), axis=1)
+    model._normalise_rows(rows)
+    return rows
+
+
+def _assert_gaussian_bit_identical(points, sigma: float) -> None:
+    kept = NoiseKernel.gaussian(FeatureSpace(points), sigma).rows
+    want = _gaussian_rows_by_definition(np.asarray(points, dtype=float), sigma)
+    assert np.array_equal(kept.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def _kernel_grids(draw) -> np.ndarray:
+    n = draw(st.integers(1, 300))
+    kind = draw(st.sampled_from(["symmetric", "random", "magnitudes"]))
+    if kind == "symmetric":
+        return _symmetric_grid(draw(st.floats(1e-3, 1e3)), n | 1)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        return np.unique(rng.uniform(-10.0, 10.0, n))
+    return np.unique(rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-6.0, 6.0, n))
+
+
 class TestNoiseKernel:
     def test_rows_must_be_stochastic(self):
         space = FeatureSpace([0.0, 1.0])
@@ -270,6 +301,50 @@ class TestNoiseKernel:
         # midpoint would put both first cells at +inf
         k = NoiseKernel.gaussian(FeatureSpace(points), 1.0)
         assert np.array_equal(k.rows, np.eye(len(points)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(points=_kernel_grids(), sigma=st.floats(-9.0, 8.0).map(lambda e: 10.0**e))
+    def test_gaussian_is_bit_identical_to_the_definition(self, points, sigma):
+        _assert_gaussian_bit_identical(points, sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-9, 1.0, 1e8])
+    @pytest.mark.parametrize("points", [[1.0e308, 1.7e308], [-1.7e308, 1.6e308, 1.7e308]])
+    def test_gaussian_near_the_float_maximum_is_bit_identical(self, points, sigma):
+        _assert_gaussian_bit_identical(points, sigma)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1.0, 1.5])
+    def test_gaussian_on_the_benchmark_grid_is_bit_identical(self, rebuild_1601, sigma):
+        space = noise_rebuilder(rebuild_1601)(sigma)[0].space
+        assert space.n == 1601
+        _assert_gaussian_bit_identical(space.points, sigma)
+
+    def test_gaussian_table_spares_most_cdf_calls(self, rebuild_1601, monkeypatch):
+        # a silent fall-back to ndtr on every argument would still be bit-identical
+        space = noise_rebuilder(rebuild_1601)(1.0)[0].space
+        counts = []
+
+        def counted(x, *args, **kwargs):
+            counts.append(np.size(x))
+            return ndtr(x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "ndtr", counted)
+        NoiseKernel.gaussian(space, 1.0)
+        n = space.n
+        assert 0 < sum(counts) < 0.1 * n * (n + 1)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ([[np.nan, -0.5], [0.0, 1.0]], "finite"),
+            ([[-np.inf, 1.0], [0.0, 1.0]], "finite"),
+            ([[0.5, np.inf], [0.0, 1.0]], "finite"),
+            ([[-2e-12, 1.0], [0.0, 1.0]], "nonnegative"),
+        ],
+    )
+    def test_bad_entries_named_in_order(self, rows, message):
+        # a non-finite entry is reported before a negative one
+        with pytest.raises(ValidationError, match=f"^rows: entries must be {message}$"):
+            NoiseKernel(FeatureSpace([0.0, 1.0]), rows)
 
     def test_gaussian_refused_before_any_n_by_n_allocation(self, monkeypatch):
         class PastGuard(Exception):
