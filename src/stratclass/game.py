@@ -118,16 +118,17 @@ def _target_indices(
     have a larger value earlier (searched in blocks of rows, stopping at the
     first hit) or in the upward block.
 
-    With ``slack`` the call returns None, and warns nothing, unless every
-    decision clears its threshold by more than ``slack``.  With margin
-    fl(values[j] - values[i]) - fl(costs[i, j] + KNIFE_EDGE_ATOL), every
-    downward pair (j < i) has margin below -slack, so no downward move is
-    available or near it; every upward pair has margin outside [-slack,
-    slack]; and every available move but the pick has fl(values[pick] -
-    values[j]) > slack.  Both paths test this one predicate.  A nondecreasing
-    curve, which a stochastically monotone kernel such as the Gaussian one
-    gives every threshold, has downward margins of at most -KNIFE_EDGE_ATOL.
-    The separable path reads the downward margins off ``drop``, each row's
+    Only a separable cost certifies, on 1-D values; ``slack`` with any other
+    call raises ValueError.  With ``slack`` the call returns None, and warns
+    nothing, unless every decision clears its threshold by more than
+    ``slack``.  With margin fl(values[j] - values[i]) - fl(costs[i, j] +
+    KNIFE_EDGE_ATOL), every downward pair (j < i) has margin below -slack,
+    so no downward move is available or near it; every upward pair has
+    margin outside [-slack, slack]; and every available move but the pick
+    has fl(values[pick] - values[j]) > slack.  A nondecreasing curve, which
+    a stochastically monotone kernel such as the Gaussian one gives every
+    threshold, has downward margins of at most -KNIFE_EDGE_ATOL.  The
+    separable path reads the downward margins off ``drop``, each row's
     largest as rounding is monotone, and lowers each row's floor by
     ``slack``, which the room in m covers as above, so a pair left out of the
     upward block has margin below -slack.
@@ -135,9 +136,11 @@ def _target_indices(
     a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
         target, edge = _separable_targets(values, a, slack)
+    elif slack is not None:
+        raise ValueError("only a separable cost's best response to one curve certifies")
     else:
         matrix = costs.costs if isinstance(costs, CostFunction) else costs
-        target, edge = _generic_targets(values, matrix, slack)
+        target, edge = _generic_targets(values, matrix)
     if target is None:
         return None
     if edge is not None:
@@ -152,27 +155,12 @@ def _target_indices(
     return target
 
 
-def _generic_targets(
-    q: np.ndarray, costs: np.ndarray, slack: float | None = None
-) -> tuple[np.ndarray | None, tuple[int, int] | None]:
-    """Targets and first knife-edge pair, comparing every pair of points.
-
-    The targets are None when ``slack`` is given and a decision lies within
-    it (see :func:`_target_indices`).
-    """
+def _generic_targets(q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Targets and first knife-edge pair, comparing every pair of points."""
     idx = np.arange(q.shape[-1])
     gains = q[..., None, :] - q[..., :, None]
-    limit = costs + KNIFE_EDGE_ATOL
-    mask = gains > limit
+    mask = gains > costs + KNIFE_EDGE_ATOL
     mask[..., idx, idx] = False
-    if slack is not None:
-        margin = gains - limit
-        down = np.tri(idx.size, k=-1, dtype=bool)  # j < i
-        unsure = np.where(down, margin >= -slack, np.abs(margin) <= slack)
-        unsure[..., idx, idx] = False
-        if np.any(unsure):
-            return None, None
-
     near = (gains > 0) & (np.abs(gains - costs) < KNIFE_EDGE_ATOL)
     near[..., idx, idx] = False
     edge = None
@@ -181,12 +169,7 @@ def _generic_targets(
 
     cand = np.where(mask, q[..., None, :], -np.inf)
     best = cand.max(axis=-1)
-    top = np.maximum(q, best)
-    if slack is not None and np.any((mask & (top[..., None] - cand <= slack)).sum(axis=-1) > 1):
-        return None, None
-    attain = cand == top[..., None]
-    attain[..., idx, idx] |= q == top
-    return attain.argmax(axis=-1), edge
+    return np.where(best > -np.inf, (cand == best[..., None]).argmax(axis=-1), idx), edge
 
 
 def _separable_targets(

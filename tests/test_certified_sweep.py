@@ -1,10 +1,12 @@
 """The noisy threshold scan against a scan written from the definitions.
 
 The noisy sweep reads every cut's acceptance curve off one cumulative sum and
-keeps a best response only when it certifies itself against the matvec's
-rounding; near-best cuts are evaluated again on the matvec.  These tests
-hold it to the plain scan: one matvec and one ``subpop_accuracies`` per cut,
-first strict maximum kept.
+keeps a separable group's best response only when it certifies itself
+against the matvec's rounding; a tabular group is answered on the matvec,
+and near-best cuts are evaluated again on it.  These tests hold the sweep to
+the plain scan (one matvec and one ``subpop_accuracies`` per cut, first
+strict maximum kept) and the separable certificate to one written from its
+definition.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 import test_cli
 import test_scenario
+from test_core import point_fields, reference_targets, report_fields
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -76,14 +79,6 @@ def _first_max(reports, objective: str) -> int:
     return best
 
 
-def _point_fields(p):
-    return (p.utility, p.cost, p.efficiency, p.subpop_utilities, p.subpop_costs, p.gap)
-
-
-def _report_fields(r):
-    return (r.utility, r.cost, r.efficiency, r.utilities, r.costs, r.gap)
-
-
 def _assert_matches_reference(scen: SubpopulationScenario) -> None:
     reports = _reference(scen)
     points = _quiet(threshold_sweep, scen)
@@ -98,7 +93,7 @@ def _assert_matches_reference(scen: SubpopulationScenario) -> None:
         got = dataclasses.astuple(solved.details["report"])
         assert repr(got) == repr(dataclasses.astuple(reports[start]))
         # the winner's own sweep point is exact, not read off the cheap curve
-        assert repr(_point_fields(points[start])) == repr(_report_fields(reports[start]))
+        assert repr(point_fields(points[start])) == repr(report_fields(reports[start]))
 
 
 def _separable(rng: np.random.Generator, space) -> CostFunction:
@@ -192,6 +187,31 @@ def _random_curve(rng: np.random.Generator, n: int, rising: bool) -> np.ndarray:
     return np.sort(q) if rising else q
 
 
+def reference_certifies(q, c, slack) -> bool:
+    """Whether every decision of the best response clears ``slack``, by the definition.
+
+    With margin (q[j] - q[i]) - (c[i, j] + KNIFE_EDGE_ATOL), every downward
+    pair (j < i) has margin below -slack, every upward pair has margin
+    outside [-slack, slack], and every available move but the pick trails
+    the pick's value by more than slack.
+    """
+    n = len(q)
+    picks = reference_targets(q, c)
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            margin = (q[j] - q[i]) - (c[i, j] + KNIFE_EDGE_ATOL)
+            if j < i and margin >= -slack:
+                return False
+            if j > i and abs(margin) <= slack:
+                return False
+            available = q[j] - q[i] > c[i, j] + KNIFE_EDGE_ATOL
+            if available and j != picks[i] and q[picks[i]] - q[j] <= slack:
+                return False
+    return True
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
@@ -199,18 +219,15 @@ def _random_curve(rng: np.random.Generator, n: int, rising: bool) -> np.ndarray:
     rising=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_certificate_is_one_predicate_for_separable_and_tabular(seed, n, slack, rising):
+def test_separable_certificate_matches_the_reference(seed, n, slack, rising):
     rng = np.random.default_rng(seed)
     space = random_space(rng, n)
     q = _random_curve(rng, n, rising)
     fn = _separable(rng, space)
-    tabular = CostFunction(space, fn.costs)
-    sep = _quiet(_target_indices, q, fn, slack)
-    tab = _quiet(_target_indices, q, tabular, slack)
-    assert (sep is None) == (tab is None)
-    if sep is not None:
-        np.testing.assert_array_equal(sep, tab)
-        np.testing.assert_array_equal(sep, _quiet(_target_indices, q, fn))
+    got = _quiet(_target_indices, q, fn, slack)
+    assert (got is not None) == reference_certifies(q, fn.costs, slack)
+    if got is not None:
+        assert got.tolist() == reference_targets(q, fn.costs)
 
 
 @given(
@@ -228,7 +245,7 @@ def test_certified_targets_hold_within_half_the_slack(seed, n, rising, slack):
     rng = np.random.default_rng(seed)
     space = random_space(rng, n)
     q = _random_curve(rng, n, rising)
-    fn = _separable(rng, space) if rng.random() < 0.5 else random_simple_cost(rng, space)
+    fn = _separable(rng, space)
     got = _quiet(_target_indices, q, fn, slack)
     if got is None:
         return
@@ -239,13 +256,26 @@ def test_certified_targets_hold_within_half_the_slack(seed, n, rising, slack):
 @pytest.mark.parametrize("slack", [0.0, 1e-13, 0.05])
 def test_an_available_downward_move_is_refused(slack):
     # the contestant at 1 gains 1 by moving down for free; the certificate
-    # decides no downward move, so both representations refuse the curve
+    # decides no downward move, so it refuses the curve.  A tabular cost has
+    # no certificate to ask for
     space = FeatureSpace(np.array([0.0, 1.0]))
     q = np.array([1.0, 0.0])
     free = shift_cost(space, np.zeros(2))
-    for cost in (free, CostFunction(space, free.costs)):
-        np.testing.assert_array_equal(_target_indices(q, cost), [0, 0])
-        assert _target_indices(q, cost, slack) is None
+    np.testing.assert_array_equal(_target_indices(q, free), [0, 0])
+    assert _target_indices(q, free, slack) is None
+    with pytest.raises(ValueError, match="separable"):
+        _target_indices(q, CostFunction(space, free.costs), slack)
+
+
+@pytest.mark.parametrize("slack, certified", [(0.01, True), (0.05, False)])
+def test_an_upward_decision_within_the_slack_is_refused(slack, certified):
+    # moving up gains 0.1 at cost 0.13: the margin, -0.03, lies below the
+    # row's rounding floor, so only the floor lowered by slack looks at it
+    space = FeatureSpace(np.array([0.0, 1.0]))
+    q = np.array([0.0, 0.1])
+    cost = shift_cost(space, [0.0, 0.13])
+    assert reference_certifies(q, cost.costs, slack) is certified
+    assert (_target_indices(q, cost, slack) is not None) is certified
 
 
 def _gaussian_instance(n: int):
@@ -268,6 +298,26 @@ def test_noisy_solve_calls_one_best_response_per_cut_and_group(monkeypatch):
     monkeypatch.setattr(noise, "_target_indices", counted)
     _quiet(solve_deterministic_noisy, scen, "utility")
     assert len(calls) == 2 * (n + 1) + 2
+
+
+def test_a_tabular_group_is_answered_on_the_matvec_alone(monkeypatch):
+    # one best response per cut and group: the separable group certifies on
+    # the cheap curve, and the tabular group asks for no certificate
+    scen = _gaussian_instance(201)
+    first, second = scen.cost_fns
+    scen = dataclasses.replace(scen, cost_fns=(CostFunction(scen.space, first.costs), second))
+    n = scen.space.n
+    slacks: dict[bool, list] = {True: [], False: []}
+
+    def counted(values, costs, slack=None):
+        slacks[costs._a is None].append(slack)
+        return _target_indices(values, costs, slack)
+
+    monkeypatch.setattr(noise, "_target_indices", counted)
+    _quiet(threshold_sweep, scen)
+    assert len(slacks[True]) == len(slacks[False]) == n + 1
+    assert all(slack is None for slack in slacks[True])
+    assert all(slack is not None for slack in slacks[False])
 
 
 @pytest.mark.parametrize("sigma, with_movers", [(0.3, 400), (1.0, 0)])
@@ -304,7 +354,7 @@ def test_every_cut_takes_the_matvec_once_slack_reaches_the_band(monkeypatch):
     monkeypatch.setattr(noise, "KNIFE_EDGE_ATOL", 0.0)
     points = _quiet(threshold_sweep, scen)
     for p, rep in zip(points, _reference(scen)):
-        assert repr(_point_fields(p)) == repr(_report_fields(rep))
+        assert repr(point_fields(p)) == repr(report_fields(rep))
 
 
 # ------------------------------------------------------------ kernel build

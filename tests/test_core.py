@@ -239,8 +239,13 @@ class TestSeparableBestResponse:
         assert len(warned) == 1 and "move 2 -> 1" in warned[0]
 
 
-def _sweep_fields(points):
-    return [dataclasses.astuple(p) for p in points]
+def point_fields(p):
+    """A sweep point's payoffs, in the order of :func:`report_fields`."""
+    return (p.utility, p.cost, p.efficiency, p.subpop_utilities, p.subpop_costs, p.gap)
+
+
+def report_fields(r):
+    return (r.utility, r.cost, r.efficiency, r.utilities, r.costs, r.gap)
 
 
 @pytest.mark.parametrize("sigma", [0.3, 1.0])
@@ -252,10 +257,25 @@ def test_sweep_matches_tabular_costs(sigma):
         scen, cost_fns=tuple(CostFunction(scen.space, fn.costs) for fn in scen.cost_fns)
     )
     assert all(fn._a is None for fn in tabular.cost_fns)
-    got, got_warned = _recorded(threshold_sweep, scen)
-    want, want_warned = _recorded(threshold_sweep, tabular)
-    assert _sweep_fields(got) == _sweep_fields(want)
-    assert got_warned == want_warned
+    n = scen.space.n
+    # a tabular noisy sweep takes the matvec at every cut: each point is the
+    # cut's own report, and the warnings come in the sweep's visit order
+    want, want_warned = {}, []
+    for start in range(n, -1, -1):
+        probs = np.zeros(n)
+        probs[start:] = 1.0
+        want[start], warned = _recorded(subpop_accuracies, Classifier(scen.space, probs), tabular)
+        want_warned += warned
+    points, warned = _recorded(threshold_sweep, tabular)
+    assert [repr(point_fields(p)) for p in points] == [
+        repr(report_fields(want[s])) for s in range(n + 1)
+    ]
+    assert warned == want_warned
+    # the separable sweep certifies its targets, so its costs are the same bits
+    got, _ = _recorded(threshold_sweep, scen)
+    assert [repr((p.cost, p.subpop_costs)) for p in got] == [
+        repr((p.cost, p.subpop_costs)) for p in points
+    ]
     solved, _ = _recorded(solve_deterministic_noisy, scen)
     expected, _ = _recorded(solve_deterministic_noisy, tabular)
     assert (solved.tau, solved.strict) == (expected.tau, expected.strict)
