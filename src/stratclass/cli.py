@@ -9,10 +9,9 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   optimum is unstable against its own derandomization.
 * ``sweep`` re-evaluates the scenario along a parameter grid and streams
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply); ``--threads N`` (N >= 1) evaluates the rows of a sigma sweep in
-  parallel, on at most as many threads as the process may use CPUs and
-  with at most as many rows at once as their kernels fit in
-  ``DENSE_BYTES_LIMIT``; tau and s_A rows run serially whatever N is.
+  apply); ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
+  as many threads as the process may use CPUs.  A sigma sweep runs at most
+  as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``, and
   ``--range`` is refused above 2**20 steps, whose rows fill that budget.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` overrides its tolerances.
@@ -55,10 +54,10 @@ _SWEEP_COLUMNS = ("param", "U", "U_A", "U_B", "gap", "E")
 # A sweep holds every row until it writes them, so stdout gets the whole sweep
 # or nothing.  tracemalloc puts the peak of `sweep --param tau` on a two-group
 # file, between 2,000 and 12,000 steps, at 263-266 B a row with CSV output and
-# at about 1,880 B a row with JSON output (a record and its text); a threaded
-# sigma sweep holds no more a row, with at most 2 x threads futures in flight.
-# Budgeting 2 KiB a row on every path keeps the rows within DENSE_BYTES_LIMIT:
-# 2**31 / 2**11 = 2**20 steps at most.
+# at about 1,880 B a row with JSON output (a record and its text), with one
+# thread or two: at most 2 x threads futures are in flight.  Budgeting 2 KiB a
+# row on every path keeps the rows within DENSE_BYTES_LIMIT: 2**31 / 2**11 =
+# 2**20 steps at most.
 _SWEEP_ROW_BYTES = 2048
 _MAX_SWEEP_STEPS = DENSE_BYTES_LIMIT // _SWEEP_ROW_BYTES
 
@@ -270,13 +269,12 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     values = _parse_range(args.range)
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
-    # only a sigma row spends its time in numpy, building its kernel; other
-    # rows are Python under the interpreter lock, where a pool only adds hand-offs
-    threads = 1
+    # one worker per CPU the process may use is as many as can run at once
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    threads = min(args.threads, cpus or 1)
     if args.param == "sigma":
-        # one worker per usable CPU, and the rows' kernels share one budget
-        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        threads = min(args.threads, cpus or 1, _dense_fit_count(loaded.scenario.space.n))
+        # each row in flight builds its own kernel; together they keep to one budget
+        threads = min(threads, _dense_fit_count(loaded.scenario.space.n))
 
     def row(v: float) -> list:
         scen, clf = build(float(v))
@@ -381,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file (YAML)")
     p.add_argument("--param", choices=("tau", "sigma", "s_A"), required=True)
     p.add_argument("--range", required=True, help="lo:hi:steps with steps >= 2")
-    p.add_argument("--threads", type=int, default=1, help="threads for sigma rows (>= 1); order is kept")
+    p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1); rows keep their order")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a built-in verification target")

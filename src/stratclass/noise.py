@@ -17,21 +17,21 @@ buffers; with noise every cut still takes its own best responses.
 
 A noisy sweep does not take one matvec per cut.  Each cut's curve q~ comes
 off one cumulative sum over the kernel's columns and lies within
-delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  Only a
-separable group's best response to q~ certifies, at slack = 2 delta + 8uS
+delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  A best
+response to q~ is kept only when it certifies at slack = 2 delta + 8uS
 (the predicate is stated in :func:`stratclass.game._target_indices`), which
-makes it the one q gives.  A cut takes the matvec when a group's cost is
-tabular, which is then answered on q, or when a response does not certify:
-its curve has a downward move available or within slack of it, which the
-nondecreasing curves of a Gaussian kernel never have, or an upward decision
-or a runner-up pick within slack.  A kept cut's utility is then off by at
-most Delta, about delta + 4 gamma_{n+2} (derived in :func:`threshold_sweep`),
-and every kept cut within 2 Delta of the best utility or efficiency is
-evaluated again on q.  So those points, every fallback point (all of them,
-warnings too, when every cost is tabular) and the best threshold for either
-objective are bit for bit what the matvec scan gives; other points may
-differ in the last bits of their utilities.  From n = 2249 on, slack reaches
-KNIFE_EDGE_ATOL and every cut takes the matvec.
+makes it the one q gives.  Only a separable cost certifies, so a sweep with
+a tabular group takes the matvec at every cut.  Otherwise a cut that does
+not certify takes the matvec: one whose curve has a downward move available
+or within slack of it, which the nondecreasing curves of a Gaussian kernel
+never have, or an upward decision or a runner-up pick within slack.  A kept
+cut's utility is then off by at most Delta, about delta + 4 gamma_{n+2}
+(derived in :func:`threshold_sweep`), and every kept cut within 2 Delta of
+the best utility or efficiency is evaluated again on q.  So those points,
+every fallback point and the best threshold for either objective are bit
+for bit what the matvec scan gives; other points may differ in the last
+bits of their utilities.  From n = 2249 on, slack reaches KNIFE_EDGE_ATOL
+and every cut takes the matvec.
 """
 
 from __future__ import annotations
@@ -234,18 +234,19 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     Cuts are visited from the top, in blocks of ``_CUT_BLOCK``: the curve of
     cut s is q~ = q~(s + 1) + rows[:, s], q~(n) = 0, and one reverse
     cumulative sum per block gives them all in O(n^2) for the sweep, never
-    holding an n x (n + 1) table.  Each separable group is asked to certify
-    its best response to q~ with ``slack`` (the certificate, which covers
-    separable costs only, is stated in :func:`_target_indices`); the cut
-    keeps those targets if every group's does, and otherwise computes q by
-    the matvec and answers the other groups on it, tabular ones always, one
-    best response each.  Downward moves are
-    never certified: a cut whose curve has one available or within slack
-    takes the matvec.  A stochastically monotone kernel, as the Gaussian one
-    is, makes every cut's q nondecreasing, so there only an upward decision
-    or pick within slack sends a cut to the matvec.  Last, every certified
-    cut whose utility or efficiency lies within 2 Delta of the best is
-    evaluated again on q with the targets it holds.
+    holding an n x (n + 1) table.  Each group's best response to q~ is asked
+    to certify itself with ``slack`` (the predicate, which covers separable
+    costs only, is stated in :func:`_target_indices`); the cut keeps those
+    targets if every group's does, and otherwise computes q by the matvec
+    and answers the groups that did not certify on it, one more best
+    response each.  A sweep with a tabular group asks for no certificate,
+    so every cut takes the matvec.  Downward moves are never certified: a
+    cut whose curve has one available or within slack takes the matvec.  A
+    stochastically monotone kernel, as the Gaussian one is, makes every
+    cut's q nondecreasing, so there only an upward decision or pick within
+    slack sends a cut to the matvec.  Last, every certified cut whose
+    utility or efficiency lies within 2 Delta of the best is evaluated again
+    on q with the targets it holds.
 
     Notation: u = eps / 2, gamma_k = k u / (1 - k u), S the largest computed
     row sum of the (nonnegative) kernel, r_i the exact sum of row i.
@@ -357,8 +358,8 @@ def _noisy_sweep(
     size = float(rows.sum(axis=1).max())
     delta = 2.0 * _gamma(n + 1) * size
     slack = 2.0 * delta + 8.0 * _UNIT * size
-    # only a separable cost certifies; a tabular one is answered on q
-    certify = [slack < KNIFE_EDGE_ATOL and fn._a is not None for fn in fns]
+    # only a separable cost certifies
+    cheap = slack < KNIFE_EDGE_ATOL and all(fn._a is not None for fn in fns)
 
     points: list[SweepPoint] = [None] * (n + 1)  # type: ignore[list-item]
     stay = np.arange(n)
@@ -375,7 +376,7 @@ def _noisy_sweep(
         points[start] = _cut_point(payoffs, taus, start, *payoffs.groups(q, targets))
 
     def visit(start: int, approx: np.ndarray) -> None:
-        targets = [_target_indices(approx, fn, slack) if ok else None for ok, fn in zip(certify, fns)]
+        targets = [_target_indices(approx, fn, slack) if cheap else None for fn in fns]
         if all(t is not None for t in targets):
             movers = [np.flatnonzero(t != stay) for t in targets]
             held[start] = [(moved, t[moved]) for moved, t in zip(movers, targets)]

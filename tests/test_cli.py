@@ -320,7 +320,7 @@ class TestSweep:
         assert records[0] == {"param": 0.5, "U": 0.5, "U_A": None, "U_B": None, "gap": None, "E": 0.5}
 
     def test_threads_do_not_change_output(self, files, capsys):
-        args = ("sweep", files["grouped"], "--param", "sigma", "--range", "0:1:5")
+        args = ("sweep", files["grouped"], "--param", "tau", "--range", "-1:1:5")
         rc1, out1, _ = run(capsys, *args)
         rc4, out4, _ = run(capsys, *args, "--threads", "4")
         assert rc1 == rc4 == 0
@@ -328,7 +328,7 @@ class TestSweep:
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_two_threads_write_the_serial_bytes(self, files, capsys, fmt):
-        args = ("sweep", files["grouped"], "--param", "sigma", "--range", "0:1:9", "--format", fmt)
+        args = ("sweep", files["grouped"], "--param", "tau", "--range", "-1:1:9", "--format", fmt)
         serial = run(capsys, *args, "--threads", "1")
         assert serial[0] == 0
         assert run(capsys, *args, "--threads", "2") == serial
@@ -345,7 +345,7 @@ class TestSweep:
         monkeypatch.setattr(cli.sys, "stdout", Discard())
 
         def peak(steps, threads):
-            argv = ["sweep", files["grouped"], "--param", "sigma", "--range", f"0:1:{steps}"]
+            argv = ["sweep", files["grouped"], "--param", "tau", "--range", f"-1:1:{steps}"]
             tracemalloc.start()
             try:
                 assert main(argv + ["--threads", threads]) == 0
@@ -415,7 +415,7 @@ class TestSweep:
                 return done
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-        args = ("sweep", files["grouped"], "--param", "sigma", "--range", "0:1:5")
+        args = ("sweep", files["grouped"], "--param", "tau", "--range", "-1:1:5")
         want = run(capsys, *args)[1]
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
         assert run(capsys, *args, "--threads", "50000") == (0, want, "")
@@ -427,21 +427,6 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert run(capsys, *args, "--threads", "50000") == (0, want, "")
         assert sizes == [3, 2, 4]
-
-    @pytest.mark.parametrize("param, text", [("tau", "-1:1:5"), ("s_A", "0.1:0.9:5")])
-    def test_only_a_sigma_sweep_starts_a_pool(self, files, capsys, monkeypatch, param, text):
-        # tau and s_A rows are Python work under the interpreter lock, so
-        # they run serially whatever --threads asks
-        args = ("sweep", files["grouped"], "--param", param, "--range", text)
-        want = run(capsys, *args)
-
-        def refuse(max_workers):
-            raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", refuse)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
-        assert want[0] == 0
-        assert run(capsys, *args, "--threads", "2") == want
 
     @pytest.mark.parametrize("text", ["nan:1:3", "0:inf:3", "-1e308:1e308:3"])
     def test_non_finite_range_refused(self, files, capsys, text):
