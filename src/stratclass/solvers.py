@@ -8,7 +8,9 @@ Four solvers, in increasing generality:
 - ``project_lipschitz``: the cost-covering envelope of an arbitrary
   classifier; never worse on efficiency, and immune to gaming.
 - ``solve_efficiency_lp``: exact linear program for the best cost-covering
-  (hence best overall) randomised classifier.
+  (hence best overall) randomised classifier.  Only it needs
+  ``scipy.optimize`` and ``scipy.sparse``; they load on the first LP solve,
+  so a process that solves no LP never imports them.
 - ``grid_oracle``: brute force over a discretised classifier space, used to
   cross-check the others at desk scale.
 """
@@ -18,8 +20,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix
 
 from .game import _target_indices, efficiency
 from .model import Classifier, CostFunction, Population, SolveReport, _require_same_space, _single
@@ -96,6 +96,17 @@ def _snap_lipschitz(g: np.ndarray, costs: np.ndarray) -> np.ndarray:
     return g
 
 
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first call.
+
+    :func:`solve_efficiency_lp` looks this name up at each call, so a
+    wrapper set on the module sees every solve.
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
+
 def solve_efficiency_lp(pop: Population, c: CostFunction) -> SolveReport:
     """Best cost-covering randomised classifier, by linear programming.
 
@@ -124,6 +135,8 @@ def solve_efficiency_lp(pop: Population, c: CostFunction) -> SolveReport:
     rows_i, rows_j = rows_i[keep], rows_j[keep]
     m = rows_i.size
     if m:
+        from scipy.sparse import csr_matrix
+
         data = np.empty(2 * m)
         data[0::2] = 1.0
         data[1::2] = -1.0

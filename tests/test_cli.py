@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -13,6 +15,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
+import stratclass
 from stratclass import cli, model
 from stratclass.cli import main
 from stratclass.model import DENSE_BYTES_LIMIT
@@ -676,3 +679,55 @@ class TestInstanceSweep:
         assert rc == 2
         assert out == ""
         assert err.startswith("error: line 2: gaussian_instance: n: 20001 points need")
+
+
+def test_only_the_lp_imports_scipy_optimize(files, instance_files, capsys, tmp_path):
+    cut = instance_files["cut"]
+    no_lp = [
+        ["solve", cut, "--objective", "utility", "--mode", "deterministic"],
+        ["evaluate", cut],
+        ["sweep", cut, "--param", "tau", "--range", "-0.08:0.08:3"],
+        ["reproduce", "thm4"],
+    ]
+    lp = ["solve", files["s2"], "--objective", "efficiency", "--mode", "randomized"]
+    # One fresh interpreter runs the commands and records, in the file named
+    # by argv[1], the exit codes and which LP modules were loaded after the
+    # import, after the commands that solve no LP and after the LP solve,
+    # whose stdout is the process's own.  (A module-level string here would
+    # be read as a YAML document by test_certified_sweep.)
+    script = """\
+import contextlib, io, json, sys
+from stratclass import cli
+
+report_path, no_lp, lp = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+
+def loaded():
+    return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
+
+report = {"codes": [], "after_import": loaded()}
+for argv in no_lp:
+    with contextlib.redirect_stdout(io.StringIO()):
+        report["codes"].append(cli.main(argv))
+report["after_no_lp"] = loaded()
+report["codes"].append(cli.main(lp))
+report["after_lp"] = loaded()
+with open(report_path, "w") as f:
+    json.dump(report, f)
+"""
+    report_path = tmp_path / "report.json"
+    env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(stratclass.__file__))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(report_path), json.dumps(no_lp), json.dumps(lp)],
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    report = json.loads(report_path.read_text())
+    assert report["codes"] == [0] * 5
+    assert report["after_import"] == []
+    assert report["after_no_lp"] == []
+    assert report["after_lp"] == ["scipy.optimize", "scipy.sparse"]
+    rc, out, _ = run(capsys, *lp)
+    assert rc == 0
+    assert proc.stdout == out.encode()

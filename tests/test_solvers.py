@@ -185,6 +185,26 @@ class TestEfficiencyLP:
         vertex = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
         assert np.array_equal(report.classifier.probs, vertex)
 
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_two_linprog_calls_per_solve(self, n, monkeypatch):
+        # the benchmark's solvers.linprog.calls counts this seam: 2 per LP
+        rng = np.random.default_rng(n)
+        space = random_space(rng, n)
+        pop = random_population(rng, space)
+        cost = CostFunction(space, [[0.0]]) if n == 1 else random_simple_cost(rng, space)
+        real = solvers.linprog
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("A_ub"))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "linprog", counted)
+        for solves in (1, 2):
+            _quiet_best(solve_efficiency_lp, pop, cost)
+            assert len(calls) == 2 * solves
+        assert (calls[0] is None) == (n == 1)
+
     @pytest.mark.parametrize("h, accept", [(0.25, 0.0), (0.75, 1.0)])
     def test_one_point_has_no_constraint_rows(self, h, accept):
         space = FeatureSpace([0.5])
