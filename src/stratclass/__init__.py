@@ -6,155 +6,27 @@ accuracy of the induced reports.  The package provides the game engine,
 deterministic and randomized solvers, an equilibrium stability check, a
 noisy-feature variant, Gaussian closed forms with a discretization bridge,
 scenario files, and built-in reproduction targets (``stratclass reproduce``).
+
+Each module's ``__all__`` is the one list of its public names; the package
+re-exports all of them, first mention first.
 """
 
-from .model import (
-    COST_ATOL,
-    LIPSCHITZ_ATOL,
-    PROB_ATOL,
-    Classifier,
-    CostFunction,
-    CostViolation,
-    FeatureSpace,
-    NoiseKernel,
-    Population,
-    SubpopulationScenario,
-    ValidationError,
-    is_lipschitz,
-    shift_cost,
-    validate_simple_cost,
-)
-from .game import (
-    KNIFE_EDGE_ATOL,
-    BestResponse,
-    KnifeEdgeWarning,
-    best_response,
-    efficiency,
-    strategy_cost,
-    utility,
-)
-from .solvers import (
-    LP_MAX_POINTS,
-    ORACLE_MAX_POINTS,
-    ORACLE_MAX_RESOLUTION,
-    SolveReport,
-    grid_oracle,
-    project_lipschitz,
-    solve_deterministic,
-    solve_efficiency_lp,
-)
-from .stability import (
-    DeviationReport,
-    StabilityCheck,
-    best_deviation,
-    derandomize,
-    is_equilibrium,
-    pooled_mass,
-    stability_check,
-)
-from .noise import (
-    SubpopReport,
-    SweepPoint,
-    effective_acceptance,
-    noisy_best_response,
-    noisy_efficiency,
-    noisy_strategy_cost,
-    noisy_utility,
-    solve_deterministic_noisy,
-    subpop_accuracies,
-    threshold_sweep,
-)
-from .analytic import (
-    DiscretizedInstance,
-    GaussianInstance,
-    NoiseBenefit,
-    RegimeWarning,
-    UnimodalityWarning,
-    compare_noise_benefit,
-    discretize_instance,
-    noiseless_optimal_tau,
-    noiseless_overall_utility,
-    noiseless_subpop_utility,
-    noisy_fair_utility,
-)
-from .scenario import (
-    LoadedScenario,
-    ScenarioError,
-    build_scenario,
-    dump_scenario,
-    load_scenario,
-    parse_scenario,
-    save_scenario,
-)
-from .reproduce import Check, ReproduceResult, run_reproduce
+from .model import *  # noqa: F403
+from .game import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .stability import *  # noqa: F403
+from .noise import *  # noqa: F403
+from .analytic import *  # noqa: F403
+from .scenario import *  # noqa: F403
+from .reproduce import *  # noqa: F403
+from . import analytic, game, model, noise, reproduce, scenario, solvers, stability
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "COST_ATOL",
-    "KNIFE_EDGE_ATOL",
-    "LIPSCHITZ_ATOL",
-    "LP_MAX_POINTS",
-    "ORACLE_MAX_POINTS",
-    "ORACLE_MAX_RESOLUTION",
-    "PROB_ATOL",
-    "BestResponse",
-    "Check",
-    "Classifier",
-    "CostFunction",
-    "CostViolation",
-    "DeviationReport",
-    "DiscretizedInstance",
-    "FeatureSpace",
-    "GaussianInstance",
-    "KnifeEdgeWarning",
-    "LoadedScenario",
-    "NoiseBenefit",
-    "NoiseKernel",
-    "Population",
-    "RegimeWarning",
-    "ReproduceResult",
-    "ScenarioError",
-    "SolveReport",
-    "StabilityCheck",
-    "SubpopReport",
-    "SubpopulationScenario",
-    "SweepPoint",
-    "UnimodalityWarning",
-    "ValidationError",
-    "best_deviation",
-    "best_response",
-    "build_scenario",
-    "compare_noise_benefit",
-    "derandomize",
-    "discretize_instance",
-    "dump_scenario",
-    "effective_acceptance",
-    "efficiency",
-    "grid_oracle",
-    "is_equilibrium",
-    "is_lipschitz",
-    "load_scenario",
-    "noiseless_optimal_tau",
-    "noiseless_overall_utility",
-    "noiseless_subpop_utility",
-    "noisy_best_response",
-    "noisy_efficiency",
-    "noisy_fair_utility",
-    "noisy_strategy_cost",
-    "noisy_utility",
-    "parse_scenario",
-    "pooled_mass",
-    "project_lipschitz",
-    "run_reproduce",
-    "save_scenario",
-    "solve_deterministic",
-    "solve_deterministic_noisy",
-    "solve_efficiency_lp",
-    "stability_check",
-    "strategy_cost",
-    "subpop_accuracies",
-    "threshold_sweep",
-    "utility",
-    "validate_simple_cost",
-]
+__all__ = list(
+    dict.fromkeys(
+        name
+        for module in (model, game, solvers, stability, noise, analytic, scenario, reproduce)
+        for name in module.__all__
+    )
+)

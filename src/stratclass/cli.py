@@ -7,9 +7,10 @@ Four subcommands share the flag ``--format {text,json,csv}``:
 * ``solve`` optimizes utility or efficiency in deterministic or randomized
   mode; utility+randomized is rejected because any randomized utility
   optimum is unstable against its own derandomization.
-* ``sweep`` re-evaluates the scenario along a parameter grid and streams
+* ``sweep`` re-evaluates the scenario along a parameter grid and writes
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply); ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
+  apply) once every row is done: the whole sweep, or nothing when a row
+  fails.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
   as many threads as the process may use CPUs.  A sigma sweep runs at most
   as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``, and
   ``--range`` is refused above 2**20 steps, whose rows fill that budget.

@@ -29,6 +29,7 @@ from .model import (
     Population,
     SubpopulationScenario,
     ValidationError,
+    _block_rows,
     _require_same_space,
     _single,
 )
@@ -178,7 +179,9 @@ def _separable_targets(
     """Targets and first knife-edge pair for costs built from ``a``.
 
     The candidate reductions, their rounding margin and the ``slack`` test
-    are derived in :func:`_target_indices`.
+    are derived in :func:`_target_indices`.  Both the upward block and the
+    downward search run in blocks of rows, so their temporaries stay within
+    about ``_BLOCK_BYTES`` however large n is.
     """
     idx = np.arange(q.size)
     # below[i] = max(q[:i]), first attained at index at[i]
@@ -203,35 +206,44 @@ def _separable_targets(
     edge = None
     if rows.size:
         cols = np.flatnonzero((key >= floor[rows].min()) & (idx > rows[0]))
-        gains = q[cols] - q[rows, None]
-        c = np.maximum(a[cols] - a[rows, None], 0.0)
-        upward = cols > rows[:, None]
-        limit = c + KNIFE_EDGE_ATOL
-        if slack is not None and np.any(upward & (np.abs(gains - limit) <= slack)):
-            return None, None
-        avail = upward & (gains > limit)
-        cand = np.where(avail, q[cols], -np.inf)
-        best = cand.max(axis=1)
-        # an equal downward value has the smaller index
-        wins = best > np.where(down[rows], below[rows], -np.inf)
-        pick = cols[(cand == best[:, None]).argmax(axis=1)]
-        if slack is not None and np.any((avail & (q[pick, None] - cand <= slack)).sum(axis=1) > 1):
-            return None, None
-        target[rows[wins]] = pick[wins]
-        near = upward & (gains > 0) & (np.abs(gains - c) < KNIFE_EDGE_ATOL)
-        if np.any(near):
-            r, k = [int(v[0]) for v in np.nonzero(near)]
-            edge = (int(rows[r]), int(cols[k]))
+        # the rows go in order, in blocks whose six or so float temporaries fit
+        # the budget, so the first knife-edge pair is still the row-major first
+        height = _block_rows(cols.size, 48)
+        for lo in range(0, rows.size, height):
+            block = rows[lo : lo + height]
+            gains = q[cols] - q[block, None]
+            c = np.maximum(a[cols] - a[block, None], 0.0)
+            upward = cols > block[:, None]
+            limit = c + KNIFE_EDGE_ATOL
+            if slack is not None and np.any(upward & (np.abs(gains - limit) <= slack)):
+                return None, None
+            avail = upward & (gains > limit)
+            cand = np.where(avail, q[cols], -np.inf)
+            best = cand.max(axis=1)
+            # an equal downward value has the smaller index
+            wins = best > np.where(down[block], below[block], -np.inf)
+            pick = cols[(cand == best[:, None]).argmax(axis=1)]
+            if slack is not None and np.any(
+                (avail & (q[pick, None] - cand <= slack)).sum(axis=1) > 1
+            ):
+                return None, None
+            target[block[wins]] = pick[wins]
+            if edge is None:
+                near = upward & (gains > 0) & (np.abs(gains - c) < KNIFE_EDGE_ATOL)
+                if np.any(near):
+                    r, k = [int(v[0]) for v in np.nonzero(near)]
+                    edge = (int(block[r]), int(cols[k]))
 
     # within one row a downward pair precedes every upward one
     flagged = np.flatnonzero(below > q)
     if edge is not None:
         flagged = flagged[flagged <= edge[0]]
-    # blocks double in size: an early hit is cheap, a full scan takes log n
-    s, size = 0, 1
+    # blocks double in size up to the budget: an early hit is cheap, and a
+    # full scan takes log n blocks plus one per budget's worth of rows
+    s, size, most = 0, 1, _block_rows(q.size, 16)
     while s < flagged.size:
         block = flagged[s : s + size]
-        s, size = s + size, 2 * size
+        s, size = s + size, min(2 * size, most)
         gains = q[: block[-1]] - q[block, None]
         # the costs here are exact zeros, so |gains - costs| is gains
         hit = (idx[: block[-1]] < block[:, None]) & (gains > 0) & (gains < KNIFE_EDGE_ATOL)

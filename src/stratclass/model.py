@@ -51,10 +51,11 @@ LIPSCHITZ_ATOL = 1e-9
 # instance's two group costs plus its kernel at n = 6401 (0.98 GB) fit, and a
 # kernel at n = 20001 (3.2 GB) does not.
 DENSE_BYTES_LIMIT = 2 * 2**30
-# Bytes of the two blocks NoiseKernel.gaussian works in at a time, half each:
-# the cdf arguments (float64) and their table offsets (int64).  Both stay in a
-# core's cache while their rows are looked up, differenced, checked and rescaled.
-_KERNEL_BLOCK_BYTES = 2**20
+# Bytes the temporaries of one block of rows may take at once, in
+# NoiseKernel.gaussian (the cdf arguments and their int64 table offsets) and
+# in the separable best response.  A block stays in a core's cache while it
+# is worked on, and no temporary grows with n squared.
+_BLOCK_BYTES = 2**20
 # NoiseKernel.gaussian tabulates the normal cdf at the floats this many ulps
 # (bit patterns) either side of each diagonal's reference argument.
 _CDF_TABLE_ULPS = 8
@@ -91,6 +92,11 @@ def _require_dense_fits(n: int, matrices: int) -> None:
             f"n: {n} points need {need / 1e9:.2f} GB of dense matrices; "
             f"the limit is {DENSE_BYTES_LIMIT / 1e9:.2f} GB"
         )
+
+
+def _block_rows(width: int, cell_bytes: int) -> int:
+    """Rows of ``width`` cells, ``cell_bytes`` each, that fit _BLOCK_BYTES; at least 1."""
+    return max(1, _BLOCK_BYTES // (cell_bytes * width))
 
 
 def _dense_fit_count(n: int) -> int:
@@ -473,7 +479,7 @@ class NoiseKernel:
 
         The rows are written straight into the one n x n array the kernel
         keeps, a block of rows at a time (the argument and offset blocks
-        share ``_KERNEL_BLOCK_BYTES``), and each block is checked and
+        share ``_BLOCK_BYTES``), and each block is checked and
         rescaled as the constructor would while it is still in cache.  So a
         build peaks at that array plus the blocks and the table, and the
         constructor keeps it without a copy.
@@ -498,7 +504,7 @@ class NoiseKernel:
         starts = sliding_window_view(start, n + 1)[::-1]
         bases = sliding_window_view(np.arange(0, table.size, 2 * w + 1), n + 1)[::-1]
         rows = np.empty((n, n))
-        height = min(n, max(1, _KERNEL_BLOCK_BYTES // (16 * (n + 1))))
+        height = min(n, _block_rows(n + 1, 16))
         zs = np.empty((height, n + 1))
         offsets = np.empty((height, n + 1), dtype=np.int64)
         for lo in range(0, n, height):

@@ -394,7 +394,7 @@ def test_gaussian_rows_across_block_edges(monkeypatch, height, n):
     # n one below, at and one above the block height: one short block, one
     # full block, and a full block followed by a single row; at height 1
     # every row is a block of its own
-    monkeypatch.setattr(model, "_KERNEL_BLOCK_BYTES", 8 * (n + 1) * height)
+    monkeypatch.setattr(model, "_BLOCK_BYTES", 16 * (n + 1) * height)
     space = FeatureSpace(np.linspace(-2.0, 2.0, n))
     got = NoiseKernel.gaussian(space, 0.3).rows
     assert _same_bits(got, _plain_rows(space.points, 0.3))

@@ -6,6 +6,7 @@ path must also repeat the generic path's knife-edge warning word for word.
 The payoff wrappers must all reject objects on another grid; the threshold
 scan serves both objectives; and imports run one way, so no module imports
 inside a function, save the LP's deferred scipy imports.  Every function the benchmark traces must still exist.
+The package exports exactly the names its modules list in ``__all__``.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import sys
 import threading
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -46,6 +48,7 @@ from stratclass import (
     threshold_sweep,
     utility,
 )
+from stratclass import model
 from stratclass.game import _target_indices
 from stratclass.model import ValidationError
 from stratclass.noise import _fast_path_ok, _fast_threshold_targets
@@ -227,6 +230,32 @@ class TestSeparableBestResponse:
         assert got.tolist() == reference_targets(q, c.costs)
         assert got.tolist() == generic.tolist()
         assert got_warned == generic_warned
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 40),
+        rows=st.integers(1, 3),
+        slack=st.sampled_from([None, 0.0, 1e-13, 0.05]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_row_blocks_change_nothing(self, seed, n, rows, slack):
+        # a budget of a few rows walks the upward block and the downward
+        # search in pieces: the same targets and the same first knife edge
+        rng = np.random.default_rng(seed)
+        space = FeatureSpace(np.arange(n, dtype=float))
+        a = _ramp(rng, n)
+        c = shift_cost(space, a)
+        q = _separable_values(rng, space, a)
+        with mock.patch.object(model, "_BLOCK_BYTES", 2**62):
+            whole, whole_warned = _recorded(_target_indices, q, c, slack)
+        # upward blocks of at least ``rows`` rows (48 bytes a cell), downward
+        # blocks capped at 3 * rows (16 bytes a cell)
+        with mock.patch.object(model, "_BLOCK_BYTES", 48 * n * rows):
+            blocked, blocked_warned = _recorded(_target_indices, q, c, slack)
+        assert (blocked is None) == (whole is None)
+        if whole is not None:
+            assert blocked.tolist() == whole.tolist()
+        assert blocked_warned == whole_warned
 
     def test_saturated_wobble_warns_on_the_first_pair(self):
         # values equal up to an ulp: a downward pair is the first knife edge
@@ -662,6 +691,24 @@ def test_cli_reads_no_scenario_source():
         if isinstance(node, ast.Attribute) and node.attr == "source"
     ]
     assert reads == []
+
+
+# the modules whose public names the package re-exports, in import order
+EXPORTING = ("model", "game", "solvers", "stability", "noise", "analytic", "scenario", "reproduce")
+
+
+def test_package_exports_each_module_list_and_nothing_else():
+    # a module's __all__ is the one list of its public names
+    modules = [importlib.import_module(f"stratclass.{name}") for name in EXPORTING]
+    union = list(dict.fromkeys(name for m in modules for name in m.__all__))
+    assert stratclass.__all__ == union
+    assert "shift_cost" in union and len(union) == 75
+    for m in modules:
+        for name in m.__all__:
+            assert getattr(stratclass, name) is getattr(m, name), f"{m.__name__}.{name}"
+    bound: dict = {}
+    exec("from stratclass import *", bound)
+    assert [name for name in union if bound.get(name) is not getattr(stratclass, name)] == []
 
 
 def test_benchmark_traced_names_resolve():

@@ -387,3 +387,52 @@ class TestSubpopulationScenario:
         cost = CostFunction(other, [[0.0, 0.5], [0.0, 0.0]])
         with pytest.raises(ValidationError, match="share the feature grid"):
             SubpopulationScenario(pop=pop, shares=np.array([1.0]), cost_fns=(cost,))
+
+
+_SPACE = FeatureSpace([0.0, 1.0])
+_POP = Population(_SPACE, [0.5, 0.5], [0.0, 1.0])
+_COST = CostFunction(_SPACE, [[0.0, 0.5], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Population(_SPACE, [0.5, 0.5], [0.5]), "h: expected 2 entries, got (1,)"),
+        (
+            lambda: validate_simple_cost(np.zeros((2, 3)), None),
+            "costs: expected a square matrix, got (2, 3)",
+        ),
+        (lambda: validate_simple_cost(np.zeros((2, 2)), [0.0]), "h: expected 2 entries, got (1,)"),
+        (lambda: CostFunction(_SPACE, np.ones((3, 2))), "costs: expected a 2x2 matrix, got (3, 2)"),
+        (lambda: CostFunction(_SPACE, [[0.0, np.nan], [0, 0]]), "costs: entries must be finite"),
+        (lambda: shift_cost(_SPACE, [0.0]), "a: expected 2 entries, got (1,)"),
+        (lambda: shift_cost(_SPACE, [0.0, np.inf]), "a: entries must be finite"),
+        (lambda: Classifier(_SPACE, [0.5]), "probs: expected 2 entries, got (1,)"),
+        (lambda: NoiseKernel(_SPACE, np.eye(3)), "rows: expected a 2x2 matrix, got (3, 3)"),
+        (
+            lambda: SubpopulationScenario(pop=_POP, shares=np.array([]), cost_fns=()),
+            "shares: need a non-empty 1-d sequence",
+        ),
+        (
+            lambda: SubpopulationScenario(pop=_POP, shares=[-0.5, 1.5], cost_fns=(_COST, _COST)),
+            "shares: entries must be nonnegative",
+        ),
+        (
+            lambda: SubpopulationScenario(
+                pop=_POP, shares=[0.5, 0.5], cost_fns=(_COST, _COST), labels=("A",)
+            ),
+            "labels: need one label per share",
+        ),
+    ],
+)
+def test_refusal_names_the_field(build, message):
+    with pytest.raises(ValidationError) as err:
+        build()
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("cost", [_COST, shift_cost(_SPACE, [0.0, 0.5])])
+def test_cost_has_no_other_attributes(cost):
+    # only a separable cost builds its matrix on demand; other names stay missing
+    with pytest.raises(AttributeError, match="^no_such_field$"):
+        cost.no_such_field

@@ -350,6 +350,12 @@ classifier: {kind: threshold, tau: 0.0}
 """
 
 
+def _edit(text: str, old: str, new: str) -> str:
+    """``text`` with its one ``old`` replaced by ``new``."""
+    assert text.count(old) == 1, old
+    return text.replace(old, new)
+
+
 class TestRefusedDocuments:
     """Documents the loader must refuse with a line, which the CLI maps to exit 2."""
 
@@ -369,6 +375,121 @@ class TestRefusedDocuments:
         path.write_text(text)
         assert main(["evaluate", str(path)]) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(
+                _edit(LINEAR, "cost: {kind: linear, sigma: 0.5}", "cost: linear"),
+                "line 4: cost: expected a mapping, got str",
+                id="section-not-a-mapping",
+            ),
+            pytest.param(
+                _edit(LINEAR, "features: [-1.0, 0.0, 1.0]", "features: []"),
+                "line 1: features: expected a non-empty list of numbers",
+                id="empty-vector",
+            ),
+            pytest.param(
+                _edit(TWOPOINT, "matrix:\n    - [0.0, 0.5]\n    - [0.0, 0.0]", "matrix: []"),
+                "line 6: cost.matrix: expected a non-empty list of rows",
+                id="empty-matrix",
+            ),
+            pytest.param(
+                _edit(TWOPOINT, "    - [0.0, 0.0]\n", "    - [0.0]\n"),
+                "line 7: cost.matrix: rows have inconsistent lengths",
+                id="ragged-rows",
+            ),
+            pytest.param(
+                _edit(LINEAR, "sigma: 0.5", "sigma: 0.0"),
+                "line 4: cost.sigma: sigma must be positive",
+                id="linear-sigma-zero",
+            ),
+            pytest.param(
+                _edit(LINEAR, "sigma: 0.5", "sigma: -2"),
+                "line 4: cost.sigma: sigma must be positive",
+                id="linear-sigma-negative",
+            ),
+            pytest.param(
+                _edit(NOISY, "kind: tabular\n  rows", "kind: laplace\n  rows"),
+                "line 10: noise.kind: unknown noise kind 'laplace' (none, tabular, gaussian)",
+                id="unknown-noise-kind",
+            ),
+            pytest.param(
+                _edit(LINEAR, "kind: threshold", "kind: forest"),
+                "line 5: classifier.kind: unknown classifier kind 'forest' (threshold, table)",
+                id="unknown-classifier-kind",
+            ),
+            pytest.param(
+                _edit(LINEAR, "tau: 0.0}", "tau: 0.0, strict: 1}"),
+                "line 5: classifier.strict: strict must be a boolean",
+                id="strict-not-a-bool",
+            ),
+            pytest.param(
+                _edit(INSTANCE, "n: 201", "n: 201.0"),
+                "line 7: gaussian_instance.n: n must be an integer",
+                id="n-not-an-integer",
+            ),
+            pytest.param(
+                GROUPED[: GROUPED.index("subpopulations:")]
+                + "subpopulations: []\n"
+                + GROUPED[GROUPED.index("classifier:") :],
+                "line 4: subpopulations: expected a non-empty list",
+                id="no-subpopulations",
+            ),
+            pytest.param(
+                _edit(GROUPED, "label: dear", "label: 3"),
+                "line 6: subpopulations.0.label: label must be a string",
+                id="label-not-a-string",
+            ),
+            pytest.param(
+                _edit(GROUPED, "    label: cheap\n", ""),
+                "line 5: subpopulations: label all subpopulations or none",
+                id="partial-labels",
+            ),
+            # the model's own checks, reported at the section that built the object
+            pytest.param(
+                _edit(LINEAR, "h: [0.2, 0.5, 0.8]", "h: [0.2, 0.5]"),
+                "line 1: document: h: expected 3 entries, got (2,)",
+                id="h-length",
+            ),
+            pytest.param(
+                _edit(TWOPOINT, "    - [0.0, 0.0]\n", "    - [0.0, 0.0]\n" * 3),
+                "line 5: cost: costs: expected a 2x2 matrix, got (4, 2)",
+                id="cost-matrix-shape",
+            ),
+            pytest.param(
+                _edit(GROUPED, "a: [0.0, 0.8, 1.6]", "a: [0.0, 0.8]"),
+                "line 8: subpopulations.0.cost: a: expected 3 entries, got (2,)",
+                id="shift-a-length",
+            ),
+            pytest.param(
+                _edit(TWOPOINT, "probs: [0.5, 1.0]", "probs: [0.5]"),
+                "line 10: classifier: probs: expected 2 entries, got (1,)",
+                id="probs-length",
+            ),
+            pytest.param(
+                _edit(NOISY, "    - [0.0, 1.0]\n", "    - [0.0, 1.0]\n" * 2),
+                "line 10: noise: rows: expected a 2x2 matrix, got (3, 2)",
+                id="kernel-shape",
+            ),
+            pytest.param(
+                _edit(GROUPED, "share: 0.75", "share: 1.25").replace("share: 0.25", "share: -0.25"),
+                "line 5: subpopulations: shares: entries must be nonnegative",
+                id="negative-share",
+            ),
+        ],
+    )
+    def test_refusal_names_its_line(self, text, message):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert str(err.value) == message
+
+    def test_refused_document_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "ragged.yaml"
+        path.write_text(_edit(TWOPOINT, "    - [0.0, 0.0]\n", "    - [0.0]\n"))
+        assert main(["evaluate", str(path)]) == 2
+        where = "line 7: cost.matrix: rows have inconsistent lengths"
+        assert capsys.readouterr() == ("", f"error: {where}\n")
 
     def test_shared_anchor_still_loads(self):
         text = GROUPED.replace(
