@@ -50,6 +50,7 @@ __all__ = [
 # Pairs whose gain sits this close to their cost are numerically knife-edge:
 # the strict ">" in the best response can flip under one-ulp perturbations.
 KNIFE_EDGE_ATOL = 1e-12
+_UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
 
 
 class KnifeEdgeWarning(UserWarning):
@@ -101,11 +102,12 @@ def _target_indices(
     - Upward (j > i).  With key = q - a, a pair that is available or
       knife-edge has exact gain minus cost above -KNIFE_EDGE_ATOL, less the
       rounding of the comparison.  Let u = eps/2, A = max|a|, Q = max|q|;
-      each float sum or difference errs by at most u times its magnitude.
-      The gain q[j] - q[i] and the cost a[j] - a[i] are then off by at
-      most 2uQ and 2uA, the comparison adds at most u(costs[i, j] +
-      2 KNIFE_EDGE_ATOL) <= u(2A(1 + u) + 2 KNIFE_EDGE_ATOL), and the two
-      keys at most 2u(Q + A).  So such a pair has key[j] - key[i] >
+      A is read at a's two ends, as a is nondecreasing, and Q is the larger
+      of max q and -min q.  Each float sum or difference errs by at most u
+      times its magnitude.  The gain q[j] - q[i] and the cost a[j] - a[i]
+      are then off by at most 2uQ and 2uA, the comparison adds at most
+      u(costs[i, j] + 2 KNIFE_EDGE_ATOL) <= u(2A(1 + u) + 2 KNIFE_EDGE_ATOL),
+      and the two keys at most 2u(Q + A).  So such a pair has key[j] - key[i] >
       -KNIFE_EDGE_ATOL - u(6A + 4Q + 2 KNIFE_EDGE_ATOL), up to terms in
       u**2.  The row's float floor, key[i] - KNIFE_EDGE_ATOL - m, lies
       within u(2Q + 2A + 2 KNIFE_EDGE_ATOL + m) of its exact value, and
@@ -130,9 +132,11 @@ def _target_indices(
     a stochastically monotone kernel such as the Gaussian one gives every
     threshold, has downward margins of at most -KNIFE_EDGE_ATOL.  The
     separable path reads the downward margins off ``drop``, each row's
-    largest as rounding is monotone, and lowers each row's floor by
-    ``slack``, which the room in m covers as above, so a pair left out of the
-    upward block has margin below -slack.
+    largest as rounding is monotone; for the same reason the largest drop of
+    all answers the test for every row, and only a drop beyond the band
+    builds downward targets.  It lowers each row's floor by ``slack``, which
+    the room in m covers as above, so a pair left out of the upward block
+    has margin below -slack.
     """
     a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
@@ -183,29 +187,38 @@ def _separable_targets(
     downward search run in blocks of rows, so their temporaries stay within
     about ``_BLOCK_BYTES`` however large n is.
     """
-    idx = np.arange(q.size)
-    # below[i] = max(q[:i]), first attained at index at[i]
+    n = q.size
+    idx = np.arange(n)
+    # below[i] = max(q[:i]), and drop[i] = below[i] - q[i], -inf at i = 0
     run = np.maximum.accumulate(q)
-    below = np.concatenate(([-np.inf], run[:-1]))
-    rises = np.concatenate(([True], q[1:] > run[:-1]))
-    at = np.concatenate(([0], np.maximum.accumulate(np.where(rises, idx, 0))[:-1]))
+    below = np.empty(n)
+    below[0] = -np.inf
+    below[1:] = run[:-1]
     drop = below - q
-    down = drop > 0.0 + KNIFE_EDGE_ATOL
-    target = np.where(down, at, idx)
+    # rounding is monotone, so the largest drop answers for every row
+    top = drop.max()
+    if slack is not None and top - KNIFE_EDGE_ATOL >= -slack:
+        return None, None
+    if top > KNIFE_EDGE_ATOL:
+        # at[i] is the first index attaining below[i]
+        rises = np.concatenate(([True], q[1:] > run[:-1]))
+        at = np.concatenate(([0], np.maximum.accumulate(np.where(rises, idx, 0))[:-1]))
+        target = np.where(drop > KNIFE_EDGE_ATOL, at, idx)
+    else:
+        target = idx.copy()
 
     key = q - a
     above = np.maximum.accumulate(key[::-1])[::-1][1:]  # max(key[i+1:])
-    margin = 8.0 * np.finfo(float).eps * (1.0 + np.abs(a).max() + np.abs(q).max())
+    # max|a| is read at a's ends, as a is nondecreasing, and max|q| off run
+    margin = 16.0 * _UNIT * (1.0 + max(-a[0], a[-1]) + max(run[-1], -q.min()))
     floor = key - KNIFE_EDGE_ATOL - margin
     if slack is not None:
-        if np.any(drop - KNIFE_EDGE_ATOL >= -slack):
-            return None, None
         floor -= slack
-    rows = np.flatnonzero(above >= floor[:-1])
+    rows = (above >= floor[:-1]).nonzero()[0]
 
     edge = None
     if rows.size:
-        cols = np.flatnonzero((key >= floor[rows].min()) & (idx > rows[0]))
+        cols = ((key >= floor[rows].min()) & (idx > rows[0])).nonzero()[0]
         # the rows go in order, in blocks whose six or so float temporaries fit
         # the budget, so the first knife-edge pair is still the row-major first
         height = _block_rows(cols.size, 48)
@@ -221,7 +234,7 @@ def _separable_targets(
             cand = np.where(avail, q[cols], -np.inf)
             best = cand.max(axis=1)
             # an equal downward value has the smaller index
-            wins = best > np.where(down[block], below[block], -np.inf)
+            wins = best > np.where(drop[block] > KNIFE_EDGE_ATOL, below[block], -np.inf)
             pick = cols[(cand == best[:, None]).argmax(axis=1)]
             if slack is not None and np.any(
                 (avail & (q[pick, None] - cand <= slack)).sum(axis=1) > 1
@@ -235,12 +248,12 @@ def _separable_targets(
                     edge = (int(block[r]), int(cols[k]))
 
     # within one row a downward pair precedes every upward one
-    flagged = np.flatnonzero(below > q)
+    flagged = (drop > 0.0).nonzero()[0]
     if edge is not None:
         flagged = flagged[flagged <= edge[0]]
     # blocks double in size up to the budget: an early hit is cheap, and a
     # full scan takes log n blocks plus one per budget's worth of rows
-    s, size, most = 0, 1, _block_rows(q.size, 16)
+    s, size, most = 0, 1, _block_rows(n, 16)
     while s < flagged.size:
         block = flagged[s : s + size]
         s, size = s + size, min(2 * size, most)
@@ -326,11 +339,13 @@ class _Payoffs:
     v = 1 - h, and its spend is (pi h) . k with k[i] = c_g(i, t_i), for
     targets t and acceptance q.  Each is one ``np.dot`` over a vector of
     length n, in :func:`_accuracy` and :func:`_strategy_cost`; ``x`` holds
-    one reused buffer per group.  A caller may also write x and k itself
-    and pass them to :meth:`reduce`.
+    one reused buffer per group.  Where nobody moves, :meth:`group` reads q
+    in place and reports a spend of exactly +0.0, which is what the dot over
+    the diagonal costs gives: every c_g(i, i) is +0.0 and pi h >= 0.  A
+    caller may also write x and k itself and pass them to :meth:`reduce`.
     """
 
-    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "rows", "x")
+    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "rows", "x")
 
     def __init__(self, scenario: SubpopulationScenario):
         pop = scenario.pop
@@ -341,16 +356,20 @@ class _Payoffs:
         self.shares = scenario.shares
         self.labels = scenario.labels
         self.fns = scenario.cost_fns
-        idx = np.arange(pop.space.n)
+        self.stay = np.arange(pop.space.n)
         # a separable cost reads a[:] for the rows, without a gather
-        self.rows = [idx if fn._a is None else slice(None) for fn in self.fns]
-        self.x = [np.empty(idx.size) for _ in self.fns]
+        self.rows = [self.stay if fn._a is None else slice(None) for fn in self.fns]
+        self.x = [np.empty(pop.space.n) for _ in self.fns]
 
     def group(self, g: int, q: np.ndarray, target: np.ndarray) -> tuple[float, float]:
         """Group g's accuracy and spend under ``target``, facing ``q``."""
         x = self.x[g]
-        np.multiply(q[target], self.w, out=x)
+        stays = (target == self.stay).all()
+        np.multiply(q if stays else q[target], self.w, out=x)
         x += self.v
+        if stays:
+            # every c(i, i) is +0.0, so nobody moving pays exactly +0.0
+            return _accuracy(self.pi, x), 0.0
         return self.reduce(x, self.fns[g].at(self.rows[g], target))
 
     def reduce(self, x: np.ndarray, k: np.ndarray) -> tuple[float, float]:

@@ -42,6 +42,7 @@ import numpy as np
 
 from .game import (
     KNIFE_EDGE_ATOL,
+    _UNIT,
     BestResponse,
     SubpopReport,
     _Payoffs,
@@ -177,7 +178,6 @@ _NO_COSTS = np.zeros(0)
 
 # cuts whose cheap curves are built together; one block holds n x 64 floats
 _CUT_BLOCK = 64
-_UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
 
 
 def _gamma(k: int) -> float:
@@ -378,7 +378,7 @@ def _noisy_sweep(
     def visit(start: int, approx: np.ndarray) -> None:
         targets = [_target_indices(approx, fn, slack) if cheap else None for fn in fns]
         if all(t is not None for t in targets):
-            movers = [np.flatnonzero(t != stay) for t in targets]
+            movers = [(t != stay).nonzero()[0] for t in targets]
             held[start] = [(moved, t[moved]) for moved, t in zip(movers, targets)]
             evaluate(start, approx, targets)
             return

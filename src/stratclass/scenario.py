@@ -279,12 +279,13 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
 
     with doc.checked(("features",)):
         space = FeatureSpace(doc.vector(doc.require(top, (), "features"), ("features",)))
+    # each length is checked at its own field; the Population checks name the document
+    pi, h = [doc.vector(doc.require(top, (), key), (key,)) for key in ("pi", "h")]
+    for key, vec in (("pi", pi), ("h", h)):
+        if vec.shape != (space.n,):
+            raise doc.fail((key,), f"expected {space.n} entries, got {vec.shape}")
     with doc.checked(()):
-        pop = Population(
-            space,
-            doc.vector(doc.require(top, (), "pi"), ("pi",)),
-            doc.vector(doc.require(top, (), "h"), ("h",)),
-        )
+        pop = Population(space, pi, h)
 
     kernel = None
     if "noise" in top:

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 import test_cli
 import test_scenario
-from test_core import point_fields, reference_targets, report_fields
+from test_core import _recorded, point_fields, reference_targets, report_fields
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -228,6 +228,63 @@ def test_separable_certificate_matches_the_reference(seed, n, slack, rising):
     assert (got is not None) == reference_certifies(q, fn.costs, slack)
     if got is not None:
         assert got.tolist() == reference_targets(q, fn.costs)
+
+
+def _signed_ramp(rng: np.random.Generator, n: int, negative: bool) -> np.ndarray:
+    """A nondecreasing a that lies wholly below zero or wholly at or above it."""
+    a = np.cumsum(rng.uniform(0.0, 0.6, size=n) * (rng.random(n) < 0.7))
+    return a - a[-1] - rng.uniform(0.0, 2.0) if negative else a + rng.uniform(0.0, 2.0)
+
+
+def _dipped_curve(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A rising curve with dips whose drop lies within a few ulps of KNIFE_EDGE_ATOL."""
+    q = np.sort(rng.uniform(0.0, 1.0, size=n))
+    dips = rng.choice(np.arange(1, n), size=min(n - 1, int(rng.integers(1, 3))), replace=False)
+    for j in sorted(int(v) for v in dips):
+        top = q[:j].max()
+        q[j] = top - KNIFE_EDGE_ATOL - float(rng.integers(-3, 4)) * np.spacing(top)
+    return q
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 12),
+    negative=st.booleans(),
+    slack=st.sampled_from([None, 0.0, 1e-13]),
+)
+@settings(max_examples=300, deadline=None)
+def test_largest_drop_beside_the_band_matches_the_reference(seed, n, negative, slack):
+    # the largest drop decides whether any downward target is built and, with
+    # slack, whether the curve certifies; max|a| is read at either end of a
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, n)
+    q = _dipped_curve(rng, n)
+    fn = shift_cost(space, _signed_ramp(rng, n, negative))
+    if slack is None:
+        got, warned = _recorded(_target_indices, q, fn)
+        generic, generic_warned = _recorded(_target_indices, q, CostFunction(space, fn.costs))
+        assert got.tolist() == reference_targets(q, fn.costs) == generic.tolist()
+        assert warned == generic_warned
+        return
+    got = _quiet(_target_indices, q, fn, slack)
+    assert (got is not None) == reference_certifies(q, fn.costs, slack)
+    if got is not None:
+        assert got.tolist() == reference_targets(q, fn.costs)
+
+
+@pytest.mark.parametrize("negative", [False, True])
+@pytest.mark.parametrize("above, target", [(True, [0, 0, 2]), (False, [0, 1, 2])])
+def test_one_drop_an_ulp_either_side_of_the_band(negative, above, target):
+    # a drop an ulp above the band moves down for free; one below it stays and warns
+    space = FeatureSpace(np.array([0.0, 1.0, 2.0]))
+    fn = shift_cost(space, np.array([0.0, 0.0, 1.0]) + (-3.0 if negative else 3.0))
+    q = np.array([0.5, 0.0, 0.7])
+    q[1] = np.nextafter(q[0] - KNIFE_EDGE_ATOL, -np.inf if above else np.inf)
+    assert bool(q[0] - q[1] > KNIFE_EDGE_ATOL) is above
+    got, warned = _recorded(_target_indices, q, fn)
+    assert got.tolist() == target == reference_targets(q, fn.costs)
+    assert len(warned) == (0 if above else 1)
+    assert all("move 1 -> 0" in w for w in warned)
 
 
 @given(

@@ -49,7 +49,7 @@ from stratclass import (
     utility,
 )
 from stratclass import model
-from stratclass.game import _target_indices
+from stratclass.game import _Payoffs, _target_indices
 from stratclass.model import ValidationError
 from stratclass.noise import _fast_path_ok, _fast_threshold_targets
 from stratclass.scenario import noise_rebuilder
@@ -431,6 +431,23 @@ def test_sweep_cost_draws_take_both_paths():
         for kind in _COST_KINDS:
             seen.add((kind, _fast_path_ok(_sweep_cost(rng, space, kind))))
     assert seen == {(kind, ok) for kind in _COST_KINDS for ok in (True, False)}
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), separable=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_payoffs_where_nobody_moves_match_the_gather(seed, n, separable):
+    # a group where nobody moves reads q in place and pays exactly +0.0, the
+    # same bits as gathering q and the diagonal costs at the stay targets
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, n)
+    fn = shift_cost(space, _ramp(rng, n)) if separable else random_simple_cost(rng, space)
+    payoffs = _Payoffs(SubpopulationScenario(_sweep_population(rng, space), np.ones(1), (fn,)))
+    q = _values(rng, n)
+    stay = np.arange(n)
+    got = payoffs.group(0, q, stay)
+    want = payoffs.reduce(q[stay] * payoffs.w + payoffs.v, fn.at(stay, stay))
+    assert repr(got) == repr(want)
+    assert repr(got[1]) == "0.0"
 
 
 def test_noiseless_sweep_matches_per_cut_payoffs_at_scale(unfair_disc, rebuild_1601):

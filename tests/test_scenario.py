@@ -446,12 +446,17 @@ class TestRefusedDocuments:
                 "line 5: subpopulations: label all subpopulations or none",
                 id="partial-labels",
             ),
-            # the model's own checks, reported at the section that built the object
             pytest.param(
                 _edit(LINEAR, "h: [0.2, 0.5, 0.8]", "h: [0.2, 0.5]"),
-                "line 1: document: h: expected 3 entries, got (2,)",
+                "line 3: h: expected 3 entries, got (2,)",
                 id="h-length",
             ),
+            pytest.param(
+                _edit(LINEAR, "pi: [0.25, 0.5, 0.25]", "pi: [0.25, 0.25, 0.25, 0.25]"),
+                "line 2: pi: expected 3 entries, got (4,)",
+                id="pi-length",
+            ),
+            # the model's own checks, reported at the section that built the object
             pytest.param(
                 _edit(TWOPOINT, "    - [0.0, 0.0]\n", "    - [0.0, 0.0]\n" * 3),
                 "line 5: cost: costs: expected a 2x2 matrix, got (4, 2)",
