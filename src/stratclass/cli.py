@@ -44,7 +44,7 @@ from .model import (
     _dense_fit_count,
 )
 from .noise import solve_deterministic_noisy, subpop_accuracies
-from .reproduce import ReproduceResult, run_reproduce
+from .reproduce import TARGETS, ReproduceResult, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
 from .solvers import LP_MAX_POINTS, solve_efficiency_lp
 
@@ -384,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a built-in verification target")
-    p.add_argument("id", help="ex-3pt, ex-2pt, ex-noise, thm1-sweep, thm2-sweep, thm3, thm4, thm5")
+    p.add_argument("id", help=", ".join(TARGETS))
     p.add_argument("--tol", type=float, help="override the built-in check tolerances")
     p.set_defaults(func=cmd_reproduce)
 

@@ -345,7 +345,7 @@ class _Payoffs:
     caller may also write x and k itself and pass them to :meth:`reduce`.
     """
 
-    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "rows", "x")
+    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "x")
 
     def __init__(self, scenario: SubpopulationScenario):
         pop = scenario.pop
@@ -357,8 +357,6 @@ class _Payoffs:
         self.labels = scenario.labels
         self.fns = scenario.cost_fns
         self.stay = np.arange(pop.space.n)
-        # a separable cost reads a[:] for the rows, without a gather
-        self.rows = [self.stay if fn._a is None else slice(None) for fn in self.fns]
         self.x = [np.empty(pop.space.n) for _ in self.fns]
 
     def group(self, g: int, q: np.ndarray, target: np.ndarray) -> tuple[float, float]:
@@ -370,7 +368,7 @@ class _Payoffs:
         if stays:
             # every c(i, i) is +0.0, so nobody moving pays exactly +0.0
             return _accuracy(self.pi, x), 0.0
-        return self.reduce(x, self.fns[g].at(self.rows[g], target))
+        return self.reduce(x, self.fns[g].at(self.stay, target))
 
     def reduce(self, x: np.ndarray, k: np.ndarray) -> tuple[float, float]:
         """A group's accuracy and spend from its vectors x and k."""

@@ -65,12 +65,24 @@ class ValidationError(ValueError):
     """Raised when a domain object violates one of its invariants."""
 
 
-def _frozen_array(values, name: str, dtype=float) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen_array(values, name: str, n: int | None = None) -> np.ndarray:
+    """A read-only float copy of ``values``: finite, and of shape (n,) when n is given."""
+    arr = np.array(values, dtype=float)
+    if n is not None and arr.shape != (n,):
+        raise ValidationError(f"{name}: expected {n} entries, got {arr.shape}")
     if arr.size and not np.all(np.isfinite(arr)):
         raise ValidationError(f"{name}: entries must be finite")
     arr.flags.writeable = False
     return arr
+
+
+def _require_distribution(arr: np.ndarray, name: str) -> None:
+    """Refuse ``arr`` unless its entries are nonnegative and sum to 1 within PROB_ATOL."""
+    if np.any(arr < 0):
+        raise ValidationError(f"{name}: entries must be nonnegative")
+    total = float(arr.sum())
+    if abs(total - 1.0) > PROB_ATOL:
+        raise ValidationError(f"{name}: entries must sum to 1 (got {total!r})")
 
 
 def _cell_edges(points: np.ndarray) -> np.ndarray:
@@ -161,18 +173,10 @@ class Population:
     allow_nonmonotone_h: bool = False
 
     def __post_init__(self):
-        pi = _frozen_array(self.pi, "pi")
-        h = _frozen_array(self.h, "h")
         n = self.space.n
-        if pi.shape != (n,):
-            raise ValidationError(f"pi: expected {n} entries, got {pi.shape}")
-        if h.shape != (n,):
-            raise ValidationError(f"h: expected {n} entries, got {h.shape}")
-        if np.any(pi < 0):
-            raise ValidationError("pi: entries must be nonnegative")
-        total = float(pi.sum())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise ValidationError(f"pi: entries must sum to 1 (got {total!r})")
+        pi = _frozen_array(self.pi, "pi", n)
+        h = _frozen_array(self.h, "h", n)
+        _require_distribution(pi, "pi")
         if np.any(h < 0) or np.any(h > 1):
             raise ValidationError("h: entries must lie in [0, 1]")
         if not self.allow_nonmonotone_h and n > 1 and np.any(np.diff(h) < 0):
@@ -346,17 +350,12 @@ def shift_cost(space: FeatureSpace, a: Sequence[float]) -> CostFunction:
     the special case ``a(x) = x / (sqrt(2 pi) sigma)``.  The result stores
     ``a`` alone; its O(n) checks below imply the cost axioms.
     """
-    arr = np.array(a, dtype=float)
-    if arr.shape != (space.n,):
-        raise ValidationError(f"a: expected {space.n} entries, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValidationError("a: entries must be finite")
+    arr = _frozen_array(a, "a", space.n)
     if np.any(arr[1:] < arr[:-1]):
         raise ValidationError("a: must be nondecreasing")
     with np.errstate(over="ignore"):
         if not np.isfinite(arr[-1] - arr[0]):
             raise ValidationError("costs: entries must be finite")
-    arr.flags.writeable = False
     cost = object.__new__(CostFunction)
     object.__setattr__(cost, "space", space)
     object.__setattr__(cost, "_a", arr)
@@ -371,9 +370,7 @@ class Classifier:
     probs: np.ndarray
 
     def __post_init__(self):
-        p = _frozen_array(self.probs, "probs")
-        if p.shape != (self.space.n,):
-            raise ValidationError(f"probs: expected {self.space.n} entries, got {p.shape}")
+        p = _frozen_array(self.probs, "probs", self.space.n)
         if np.any(p < 0) or np.any(p > 1):
             raise ValidationError("probs: entries must lie in [0, 1]")
         object.__setattr__(self, "probs", p)
@@ -552,11 +549,7 @@ class SubpopulationScenario:
             raise ValidationError("shares: need a non-empty 1-d sequence")
         if len(fns) != shares.size:
             raise ValidationError("cost_fns: need one cost function per share")
-        if np.any(shares < 0):
-            raise ValidationError("shares: entries must be nonnegative")
-        total = float(shares.sum())
-        if abs(total - 1.0) > PROB_ATOL:
-            raise ValidationError(f"shares: entries must sum to 1 (got {total!r})")
+        _require_distribution(shares, "shares")
         kernel = [] if self.kernel is None else [self.kernel]
         _require_same_space(self.pop, *fns, *kernel)
         labels = tuple(self.labels)
@@ -566,6 +559,9 @@ class SubpopulationScenario:
             )
         if len(labels) != shares.size:
             raise ValidationError("labels: need one label per share")
+        repeated = [label for i, label in enumerate(labels) if label in labels[:i]]
+        if repeated:
+            raise ValidationError(f"labels: must be distinct, {repeated[0]!r} repeats")
         object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "cost_fns", fns)
         object.__setattr__(self, "labels", labels)

@@ -62,14 +62,11 @@ from .model import (
 )
 
 __all__ = [
-    "SubpopReport",
     "SweepPoint",
-    "effective_acceptance",
     "noisy_best_response",
     "noisy_utility",
     "noisy_strategy_cost",
     "noisy_efficiency",
-    "subpop_accuracies",
     "threshold_sweep",
     "solve_deterministic_noisy",
 ]

@@ -10,11 +10,12 @@ discretized engine against the Gaussian closed forms.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import (
+    _ROOT_2PI,
     GaussianInstance,
     RegimeWarning,
     compare_noise_benefit,
@@ -130,12 +131,9 @@ def twopoint_example() -> tuple[Population, CostFunction, Classifier]:
 
 def noise_example() -> tuple[Population, NoiseKernel, CostFunction, Classifier]:
     """The two-point instance observed through a half-blurring channel."""
-    space = FeatureSpace([1.0, 2.0])
-    pop = Population(space, [0.5, 0.5], [0.0, 1.0])
-    kernel = NoiseKernel(space, [[0.5, 0.5], [0.0, 1.0]])
-    cost = CostFunction(space, [[0.0, 0.5], [0.0, 0.0]])
-    clf = Classifier(space, [0.0, 1.0])
-    return pop, kernel, cost, clf
+    pop, cost, _ = twopoint_example()
+    kernel = NoiseKernel(pop.space, [[0.5, 0.5], [0.0, 1.0]])
+    return pop, kernel, cost, Classifier(pop.space, [0.0, 1.0])
 
 
 def unfair_instance() -> GaussianInstance:
@@ -145,14 +143,13 @@ def unfair_instance() -> GaussianInstance:
 
 def fair_noisy_instance() -> GaussianInstance:
     """The unfair instance with enough observation noise to stop all moves."""
-    return GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=1.0)
+    return replace(unfair_instance(), sigma=1.0)
 
 
 def noise_benefit_instance() -> GaussianInstance:
     """Equal shares, cost scales 0.1 vs 1, noise matching the larger scale."""
-    root_2pi = float(np.sqrt(2.0 * np.pi))
     return GaussianInstance(
-        t=0.9 * root_2pi, d=1000.0, sigma_a=0.1, sigma_b=1.0, s_a=0.5, sigma=1.0
+        t=0.9 * _ROOT_2PI, d=1000.0, sigma_a=0.1, sigma_b=1.0, s_a=0.5, sigma=1.0
     )
 
 
@@ -345,8 +342,8 @@ def verify_unfair_threshold(tol: float | None = None) -> list[Check]:
     sim = np.array([p.utility for p in sweep])
     closed = noiseless_overall_utility(taus, inst)
     sweep_err = float(np.max(np.abs(sim - closed)))
-    peak_a = float(np.sqrt(2.0 * np.pi)) * inst.sigma_a
-    peak_b = float(np.sqrt(2.0 * np.pi)) * inst.sigma_b
+    peak_a = _ROOT_2PI * inst.sigma_a
+    peak_b = _ROOT_2PI * inst.sigma_b
     return [
         _holds(
             "optimal threshold serves the minority group worse",
@@ -425,12 +422,7 @@ def verify_noise_benefit(tol: float | None = None) -> list[Check]:
     excess_free = (nb.u_noiseless_star - 0.5) * inst.d
     excess_noisy = (nb.u_noisy_star - 0.5) * inst.d
 
-    noiseless = discretize_instance(
-        GaussianInstance(
-            t=inst.t, d=inst.d, sigma_a=inst.sigma_a, sigma_b=inst.sigma_b, s_a=inst.s_a
-        ),
-        n=801,
-    )
+    noiseless = discretize_instance(replace(inst, sigma=0.0), n=801)
     best_free = solve_deterministic_noisy(noiseless.scenario).objective
     noisy = discretize_instance(inst, n=801)
     u_noisy_sim = subpop_accuracies(

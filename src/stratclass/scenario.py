@@ -52,6 +52,7 @@ __all__ = [
 # libyaml's loader builds the same nodes, marks and data about five times
 # faster; PyYAML built without it has only the pure-Python one
 _Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
 class ScenarioError(ValueError):
@@ -67,7 +68,9 @@ class ScenarioError(ValueError):
 
 def _collect_marks(node, path: tuple, marks: dict[tuple, int]) -> None:
     # depth first in document order; a node that holds itself through an alias
-    # (&x [*x]) is refused at the line of the key or sequence that refers to it
+    # (&x [*x]) is refused at the line of the key or sequence that refers to it,
+    # and a key repeated in one mapping, whose last value alone would be kept,
+    # at the repeat (a key that a `<<` merge brings in may be overridden)
     todo = [(node, path, node.start_mark.line + 1, ())]
     while todo:
         node, path, line, outer = todo.pop()
@@ -77,6 +80,12 @@ def _collect_marks(node, path: tuple, marks: dict[tuple, int]) -> None:
         kids = []
         if isinstance(node, yaml.MappingNode):
             kids = [(v, path + (str(k.value),), k.start_mark.line + 1) for k, v in node.value]
+            seen = set()
+            for (k, _), (_, kid, kline) in zip(node.value, kids):
+                if kid in seen:
+                    raise ScenarioError("duplicate key", kid, kline)
+                if k.tag != _MERGE_TAG:
+                    seen.add(kid)
         elif isinstance(node, yaml.SequenceNode):
             kids = [(v, path + (i,), marks[path]) for i, v in enumerate(node.value)]
         inner = outer + (node,)

@@ -26,7 +26,6 @@ from .model import Classifier, CostFunction, Population, SolveReport, _require_s
 from .noise import solve_deterministic_noisy
 
 __all__ = [
-    "SolveReport",
     "solve_deterministic",
     "project_lipschitz",
     "solve_efficiency_lp",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 
@@ -21,6 +22,9 @@ from stratclass import (
     noiseless_overall_utility,
     noiseless_subpop_utility,
     noisy_fair_utility,
+    noise_benefit_instance,
+    threshold_sweep,
+    unfair_instance,
 )
 
 ROOT_2PI = math.sqrt(2.0 * math.pi)
@@ -213,6 +217,21 @@ class TestDiscretize:
         scen = discretize_instance(inst, n=201).scenario
         assert scen.shares.tolist() == [0.25, 0.75]
         assert scen.labels == ("A", "B")
+
+    @pytest.mark.parametrize("n", [401, 801, 1601, 3201])
+    @pytest.mark.parametrize(
+        "inst",
+        [unfair_instance(), dataclasses.replace(noise_benefit_instance(), sigma=0.0)],
+        ids=["unfair", "noise-benefit"],
+    )
+    def test_noiseless_sweep_within_budget(self, inst, n):
+        # the simulated sweep tracks the closed form within the derived
+        # budget at every grid size, not only at the n = 801 of thm3
+        disc = discretize_instance(inst, n=n)
+        sweep = threshold_sweep(disc.scenario)
+        taus = np.array([p.tau for p in sweep])
+        sim = np.array([p.utility for p in sweep])
+        assert np.max(np.abs(sim - noiseless_overall_utility(taus, inst))) <= disc.tolerance
 
 
 class TestSizeGuard:

@@ -423,6 +423,17 @@ _COST = CostFunction(_SPACE, [[0.0, 0.5], [0.0, 0.0]])
             ),
             "labels: need one label per share",
         ),
+        (
+            lambda: SubpopulationScenario(
+                pop=_POP, shares=[0.5, 0.5], cost_fns=(_COST, _COST), labels=("X", "X")
+            ),
+            "labels: must be distinct, 'X' repeats",
+        ),
+        # a wrong length is reported before a non-finite entry
+        (
+            lambda: Population(_SPACE, [0.5, np.nan, 0.5], [0.0, 1.0]),
+            "pi: expected 2 entries, got (3,)",
+        ),
     ],
 )
 def test_refusal_names_the_field(build, message):

@@ -482,6 +482,27 @@ class TestRefusedDocuments:
                 "line 5: subpopulations: shares: entries must be nonnegative",
                 id="negative-share",
             ),
+            pytest.param(
+                _edit(GROUPED, "label: cheap", "label: dear"),
+                "line 5: subpopulations: labels: must be distinct, 'dear' repeats",
+                id="repeated-label",
+            ),
+            # construction would keep only the last value of a repeated key
+            pytest.param(
+                _edit(TWOPOINT, "  probs: [0.5, 1.0]\n", "  probs: [0.5, 1.0]\n  kind: threshold\n"),
+                "line 12: classifier.kind: duplicate key",
+                id="repeated-key-block",
+            ),
+            pytest.param(
+                _edit(LINEAR, "tau: 0.0}", "tau: 0.0, tau: 5.0}"),
+                "line 5: classifier.tau: duplicate key",
+                id="repeated-key-flow",
+            ),
+            pytest.param(
+                _edit(GROUPED, "    label: cheap\n", "    label: cheap\n    share: 0.5\n"),
+                "line 12: subpopulations.1.share: duplicate key",
+                id="repeated-key-in-entry",
+            ),
         ],
     )
     def test_refusal_names_its_line(self, text, message):
@@ -495,6 +516,28 @@ class TestRefusedDocuments:
         assert main(["evaluate", str(path)]) == 2
         where = "line 7: cost.matrix: rows have inconsistent lengths"
         assert capsys.readouterr() == ("", f"error: {where}\n")
+
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            pytest.param(
+                _edit(LINEAR, "tau: 0.0}", "tau: 1.0, tau: 5.0}"),
+                "line 5: classifier.tau: duplicate key",
+                id="repeated-key",
+            ),
+            pytest.param(
+                _edit(GROUPED, "label: cheap", "label: dear"),
+                "line 5: subpopulations: labels",
+                id="repeated-label",
+            ),
+        ],
+    )
+    def test_repeat_exits_2(self, text, where, tmp_path, capsys):
+        path = tmp_path / "repeat.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path), "--format", "json"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {where}")
 
     def test_shared_anchor_still_loads(self):
         text = GROUPED.replace(
