@@ -51,6 +51,8 @@ __all__ = [
 # the strict ">" in the best response can flip under one-ulp perturbations.
 KNIFE_EDGE_ATOL = 1e-12
 _UNIT = np.finfo(float).eps / 2.0  # unit roundoff u
+# one curve's row of _downward: largest drop, max|q|, first downward pair
+_Down = tuple[float, float, tuple[int, int] | None]
 
 
 class KnifeEdgeWarning(UserWarning):
@@ -73,7 +75,10 @@ class BestResponse:
 
 
 def _target_indices(
-    values: np.ndarray, costs: np.ndarray | CostFunction, slack: float | None = None
+    values: np.ndarray,
+    costs: np.ndarray | CostFunction,
+    slack: float | None = None,
+    down: _Down | None = None,
 ) -> np.ndarray | None:
     """Best-response targets for acceptance values ``values`` and a cost.
 
@@ -115,33 +120,44 @@ def _target_indices(
       errors, u(8A + 6Q + 4 KNIFE_EDGE_ATOL), with room to spare.  So a
       row whose later keys all lie below its floor has no upward
       candidate; the other rows (none, when nobody moves) compare against
-      the columns whose key reaches the lowest of their floors.
+      the columns whose key reaches the lowest of their floors.  Each
+      floor is at most its key, so when every key lies below the floor
+      just before it, every key lies below every earlier floor: one pass
+      then shows that no row may move, without the suffix maxima.
 
     Knife-edge pairs need a positive gain, so they sit in the rows that
-    have a larger value earlier (searched in blocks of rows, stopping at the
-    first hit) or in the upward block.
+    have a larger value earlier or in the upward block.  The downward half
+    (the largest drop, max|q| and the first downward pair) reads no cost,
+    and :func:`_downward` computes it for a block of curves at once: a
+    threshold sweep passes each cut's row as ``down`` to every group's
+    call, which then decides only the upward moves, and a call without one
+    computes its own.  When the first row with a drop drops by less than
+    the band, the first downward pair is that row and its first larger
+    predecessor (proved there); only a curve whose first drop reaches the
+    band searches the rows with a drop, in blocks, stopping at the first
+    hit.  A downward pair precedes every upward pair of its row.
 
-    Only a separable cost certifies, on 1-D values; ``slack`` with any other
-    call raises ValueError.  With ``slack`` the call returns None, and warns
-    nothing, unless every decision clears its threshold by more than
-    ``slack``.  With margin fl(values[j] - values[i]) - fl(costs[i, j] +
-    KNIFE_EDGE_ATOL), every downward pair (j < i) has margin below -slack,
-    so no downward move is available or near it; every upward pair has
-    margin outside [-slack, slack]; and every available move but the pick
-    has fl(values[pick] - values[j]) > slack.  A nondecreasing curve, which
-    a stochastically monotone kernel such as the Gaussian one gives every
-    threshold, has downward margins of at most -KNIFE_EDGE_ATOL.  The
-    separable path reads the downward margins off ``drop``, each row's
-    largest as rounding is monotone; for the same reason the largest drop of
-    all answers the test for every row, and only a drop beyond the band
-    builds downward targets.  It lowers each row's floor by ``slack``, which
-    the room in m covers as above, so a pair left out of the upward block
-    has margin below -slack.
+    Only a separable cost certifies or takes ``down``, on 1-D values;
+    ``slack`` or ``down`` with any other call raises ValueError.  With
+    ``slack`` the call returns None, and warns nothing, unless every
+    decision clears its threshold by more than ``slack``.  With margin
+    fl(values[j] - values[i]) - fl(costs[i, j] + KNIFE_EDGE_ATOL), every
+    downward pair (j < i) has margin below -slack, so no downward move is
+    available or near it; every upward pair has margin outside [-slack,
+    slack]; and every available move but the pick has fl(values[pick] -
+    values[j]) > slack.  A nondecreasing curve, which a stochastically
+    monotone kernel such as the Gaussian one gives every threshold, has
+    downward margins of at most -KNIFE_EDGE_ATOL.  The separable path reads
+    the downward margins off the drops, each row's largest as rounding is
+    monotone; for the same reason the largest drop of all answers the test
+    for every row, and only a drop beyond the band builds downward targets.
+    It lowers each row's floor by ``slack``, which the room in m covers as
+    above, so a pair left out of the upward block has margin below -slack.
     """
     a = costs._a if isinstance(costs, CostFunction) else None
     if a is not None and values.ndim == 1:
-        target, edge = _separable_targets(values, a, slack)
-    elif slack is not None:
+        target, edge = _separable_targets(values, a, slack, down)
+    elif slack is not None or down is not None:
         raise ValueError("only a separable cost's best response to one curve certifies")
     else:
         matrix = costs.costs if isinstance(costs, CostFunction) else costs
@@ -177,47 +193,121 @@ def _generic_targets(q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, tupl
     return np.where(best > -np.inf, (cand == best[..., None]).argmax(axis=-1), idx), edge
 
 
+def _downward(curves: np.ndarray, slack: float | None = None) -> list[_Down]:
+    """The cost-free half of the separable best response, per curve of a block.
+
+    Every separable cost charges +0.0 for a downward move, so this half reads
+    no cost, and one call on a ``(b, n)`` block of curves serves every
+    separable group facing them.  For each curve q it returns
+
+    - ``top``, the largest drop, drop[i] = max(q[:i]) - q[i] (-inf if n = 1);
+    - ``size``, max|q|, the larger of max q and -min q;
+    - ``pair``, the first downward knife-edge pair (i, j) in row-major
+      order, j < i and 0 < q[j] - q[i] < KNIFE_EDGE_ATOL, or None.
+
+    First-pair rule.  Let i be the first row whose drop is > 0; no earlier
+    row has a larger value before it, so no earlier row holds a pair.  A
+    float difference is positive iff its operands are ordered (underflow is
+    gradual), and it rounds monotonically in each operand, so every j < i
+    has fl(q[j] - q[i]) <= drop[i].  If drop[i] < KNIFE_EDGE_ATOL, every gain
+    from an earlier larger value thus lies inside the band, and the first
+    pair is (i, the first j with q[j] > q[i]), which lies before i.  Only
+    when drop[i] reaches the band, so that a downward move is available or
+    on the band's edge, does the pair take the doubling search over the rows
+    with a drop.  A curve that ``slack`` refuses gets no search and no pair,
+    as its best response never reads them; with slack >= 0 that is every
+    curve whose first drop reaches the band.  The temporaries are a few
+    arrays the size of the block.
+    """
+    b, n = curves.shape
+    run = np.maximum.accumulate(curves, axis=1)
+    size = np.maximum(run[:, -1], -curves.min(axis=1))
+    drop = run[:, :-1] - curves[:, 1:]  # the drops of rows 1 .. n - 1
+    top = drop.max(axis=1, initial=-np.inf)
+    pairs: list[tuple[int, int] | None] = [None] * b
+    lit = (top > 0.0).nonzero()[0]
+    if lit.size:
+        # read on every curve, kept only where some drop is > 0
+        first = (drop > 0.0).argmax(axis=1)
+        every = np.arange(b)
+        later = (curves > curves[every, first + 1][:, None]).argmax(axis=1)
+        inside = drop[every, first] < KNIFE_EDGE_ATOL
+        for r in lit.tolist():
+            if inside[r]:
+                pairs[r] = (int(first[r]) + 1, int(later[r]))
+            elif slack is None or top[r] - KNIFE_EDGE_ATOL < -slack:
+                pairs[r] = _first_drop_pair(curves[r], drop[r])
+    return list(zip(top.tolist(), size.tolist(), pairs))
+
+
+def _first_drop_pair(q: np.ndarray, drop: np.ndarray) -> tuple[int, int] | None:
+    """The first downward knife-edge pair of q, ``drop`` its rows 1 .. n - 1.
+
+    Blocks of the rows with a drop double in size up to the budget: an early
+    hit is cheap, and a full scan takes log n blocks plus one per budget's
+    worth of rows.
+    """
+    n = q.size
+    idx = np.arange(n)
+    flagged = (drop > 0.0).nonzero()[0] + 1
+    s, size, most = 0, 1, _block_rows(n, 16)
+    while s < flagged.size:
+        block = flagged[s : s + size]
+        s, size = s + size, min(2 * size, most)
+        gains = q[: block[-1]] - q[block, None]
+        # the costs here are exact zeros, so |gains - costs| is gains
+        hit = (idx[: block[-1]] < block[:, None]) & (gains > 0) & (gains < KNIFE_EDGE_ATOL)
+        if np.any(hit):
+            r, j = [int(v[0]) for v in np.nonzero(hit)]
+            return int(block[r]), j
+    return None
+
+
 def _separable_targets(
-    q: np.ndarray, a: np.ndarray, slack: float | None = None
+    q: np.ndarray,
+    a: np.ndarray,
+    slack: float | None = None,
+    down: _Down | None = None,
 ) -> tuple[np.ndarray | None, tuple[int, int] | None]:
     """Targets and first knife-edge pair for costs built from ``a``.
 
     The candidate reductions, their rounding margin and the ``slack`` test
-    are derived in :func:`_target_indices`.  Both the upward block and the
-    downward search run in blocks of rows, so their temporaries stay within
-    about ``_BLOCK_BYTES`` however large n is.
+    are derived in :func:`_target_indices`.  ``down`` is q's row of
+    :func:`_downward`, computed here when not given, and this function
+    decides the upward moves.  The upward block runs in blocks of rows, so
+    its temporaries stay within about ``_BLOCK_BYTES`` however large n is.
     """
-    n = q.size
-    idx = np.arange(n)
-    # below[i] = max(q[:i]), and drop[i] = below[i] - q[i], -inf at i = 0
-    run = np.maximum.accumulate(q)
-    below = np.empty(n)
-    below[0] = -np.inf
-    below[1:] = run[:-1]
-    drop = below - q
+    top, size, pair = _downward(q[None], slack)[0] if down is None else down
     # rounding is monotone, so the largest drop answers for every row
-    top = drop.max()
     if slack is not None and top - KNIFE_EDGE_ATOL >= -slack:
         return None, None
+    n = q.size
+    idx = np.arange(n)
+    target = idx.copy()
+    beat = None  # the value of each row's free downward move, -inf if none
     if top > KNIFE_EDGE_ATOL:
+        run = np.maximum.accumulate(q)
+        below = np.concatenate(([-np.inf], run[:-1]))  # below[i] = max(q[:i])
+        free = below - q > KNIFE_EDGE_ATOL
         # at[i] is the first index attaining below[i]
         rises = np.concatenate(([True], q[1:] > run[:-1]))
         at = np.concatenate(([0], np.maximum.accumulate(np.where(rises, idx, 0))[:-1]))
-        target = np.where(drop > KNIFE_EDGE_ATOL, at, idx)
-    else:
-        target = idx.copy()
+        target = np.where(free, at, idx)
+        beat = np.where(free, below, -np.inf)
 
     key = q - a
-    above = np.maximum.accumulate(key[::-1])[::-1][1:]  # max(key[i+1:])
-    # max|a| is read at a's ends, as a is nondecreasing, and max|q| off run
-    margin = 16.0 * _UNIT * (1.0 + max(-a[0], a[-1]) + max(run[-1], -q.min()))
+    # max|a| is read at a's ends, as a is nondecreasing
+    margin = 16.0 * _UNIT * (1.0 + max(-a[0], a[-1]) + size)
     floor = key - KNIFE_EDGE_ATOL - margin
     if slack is not None:
         floor -= slack
-    rows = (above >= floor[:-1]).nonzero()[0]
 
     edge = None
-    if rows.size:
+    # floor <= key, so if each key lies below the floor before it, every key
+    # lies below every earlier floor, and no row has an upward candidate
+    if not (key[1:] < floor[:-1]).all():
+        above = np.maximum.accumulate(key[::-1])[::-1][1:]  # max(key[i+1:])
+        rows = (above >= floor[:-1]).nonzero()[0]
         cols = ((key >= floor[rows].min()) & (idx > rows[0])).nonzero()[0]
         # the rows go in order, in blocks whose six or so float temporaries fit
         # the budget, so the first knife-edge pair is still the row-major first
@@ -234,7 +324,7 @@ def _separable_targets(
             cand = np.where(avail, q[cols], -np.inf)
             best = cand.max(axis=1)
             # an equal downward value has the smaller index
-            wins = best > np.where(drop[block] > KNIFE_EDGE_ATOL, below[block], -np.inf)
+            wins = best > (-np.inf if beat is None else beat[block])
             pick = cols[(cand == best[:, None]).argmax(axis=1)]
             if slack is not None and np.any(
                 (avail & (q[pick, None] - cand <= slack)).sum(axis=1) > 1
@@ -248,21 +338,8 @@ def _separable_targets(
                     edge = (int(block[r]), int(cols[k]))
 
     # within one row a downward pair precedes every upward one
-    flagged = (drop > 0.0).nonzero()[0]
-    if edge is not None:
-        flagged = flagged[flagged <= edge[0]]
-    # blocks double in size up to the budget: an early hit is cheap, and a
-    # full scan takes log n blocks plus one per budget's worth of rows
-    s, size, most = 0, 1, _block_rows(n, 16)
-    while s < flagged.size:
-        block = flagged[s : s + size]
-        s, size = s + size, min(2 * size, most)
-        gains = q[: block[-1]] - q[block, None]
-        # the costs here are exact zeros, so |gains - costs| is gains
-        hit = (idx[: block[-1]] < block[:, None]) & (gains > 0) & (gains < KNIFE_EDGE_ATOL)
-        if np.any(hit):
-            r, j = [int(v[0]) for v in np.nonzero(hit)]
-            return target, (int(block[r]), j)
+    if pair is not None and (edge is None or pair[0] <= edge[0]):
+        edge = pair
     return target, edge
 
 

@@ -575,11 +575,29 @@ class SubpopulationScenario:
         return int(self.shares.size)
 
 
+_ONE_SHARE = _frozen_array((1.0,), "shares")
+
+
 def _single(
     pop: Population, c: CostFunction, kernel: NoiseKernel | None = None
 ) -> SubpopulationScenario:
-    """The one-group scenario: the whole population pays cost ``c``."""
-    return SubpopulationScenario(pop, (1.0,), (c,), kernel)
+    """The one-group scenario: the whole population pays cost ``c``.
+
+    Built as :func:`shift_cost` builds a cost: one share of exactly 1.0 and
+    the one default label pass their checks by construction, so only the
+    grids are compared.
+    """
+    _require_same_space(pop, c, *([] if kernel is None else [kernel]))
+    scen = object.__new__(SubpopulationScenario)
+    for name, value in (
+        ("pop", pop),
+        ("shares", _ONE_SHARE),
+        ("cost_fns", (c,)),
+        ("kernel", kernel),
+        ("labels", (_LABELS[0],)),
+    ):
+        object.__setattr__(scen, name, value)
+    return scen
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,18 +20,21 @@ off one cumulative sum over the kernel's columns and lies within
 delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  A best
 response to q~ is kept only when it certifies at slack = 2 delta + 8uS
 (the predicate is stated in :func:`stratclass.game._target_indices`), which
-makes it the one q gives.  Only a separable cost certifies, so a sweep with
-a tabular group takes the matvec at every cut.  Otherwise a cut that does
-not certify takes the matvec: one whose curve has a downward move available
-or within slack of it, which the nondecreasing curves of a Gaussian kernel
-never have, or an upward decision or a runner-up pick within slack.  A kept
-cut's utility is then off by at most Delta, about delta + 4 gamma_{n+2}
-(derived in :func:`threshold_sweep`), and every kept cut within 2 Delta of
-the best utility or efficiency is evaluated again on q.  So those points,
-every fallback point and the best threshold for either objective are bit
-for bit what the matvec scan gives; other points may differ in the last
-bits of their utilities.  From n = 2249 on, slack reaches KNIFE_EDGE_ATOL
-and every cut takes the matvec.
+makes it the one q gives.  The cost-free downward half of those best
+responses (each curve's largest drop, max|q~| and first downward knife-edge
+pair) is computed once per block of cuts and shared by the groups, whose
+calls then decide only their upward moves.  Only a separable cost
+certifies, so a sweep with a tabular group takes the matvec at every cut.
+Otherwise a cut that does not certify takes the matvec: one whose curve has
+a downward move available or within slack of it, which the nondecreasing
+curves of a Gaussian kernel never have, or an upward decision or a
+runner-up pick within slack.  A kept cut's utility is then off by at most
+Delta, about delta + 4 gamma_{n+2} (derived in :func:`threshold_sweep`),
+and every kept cut within 2 Delta of the best utility or efficiency is
+evaluated again on q.  So those points, every fallback point and the best
+threshold for either objective are bit for bit what the matvec scan gives;
+other points may differ in the last bits of their utilities.  From
+n = 2249 on, slack reaches KNIFE_EDGE_ATOL and every cut takes the matvec.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .game import (
     _UNIT,
     BestResponse,
     SubpopReport,
+    _downward,
     _Payoffs,
     _respond,
     _target_indices,
@@ -231,12 +235,15 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     Cuts are visited from the top, in blocks of ``_CUT_BLOCK``: the curve of
     cut s is q~ = q~(s + 1) + rows[:, s], q~(n) = 0, and one reverse
     cumulative sum per block gives them all in O(n^2) for the sweep, never
-    holding an n x (n + 1) table.  Each group's best response to q~ is asked
-    to certify itself with ``slack`` (the predicate, which covers separable
-    costs only, is stated in :func:`_target_indices`); the cut keeps those
-    targets if every group's does, and otherwise computes q by the matvec
-    and answers the groups that did not certify on it, one more best
-    response each.  A sweep with a tabular group asks for no certificate,
+    holding an n x (n + 1) table.  One call of
+    :func:`~stratclass.game._downward` per block gives every curve's
+    downward analysis, which reads no cost, and each group's best response
+    to q~ takes its curve's row, so it decides only the upward moves.  Each
+    is asked to certify itself with ``slack`` (the predicate, which covers
+    separable costs only, is stated in :func:`_target_indices`); the cut
+    keeps those targets if every group's does, and otherwise computes q by
+    the matvec and answers the groups that did not certify on it, one more
+    best response each.  A sweep with a tabular group asks for no certificate,
     so every cut takes the matvec.  Downward moves are never certified: a
     cut whose curve has one available or within slack takes the matvec.  A
     stochastically monotone kernel, as the Gaussian one is, makes every
@@ -372,8 +379,8 @@ def _noisy_sweep(
     def evaluate(start: int, q: np.ndarray, targets: list[np.ndarray]) -> None:
         points[start] = _cut_point(payoffs, taus, start, *payoffs.groups(q, targets))
 
-    def visit(start: int, approx: np.ndarray) -> None:
-        targets = [_target_indices(approx, fn, slack) if cheap else None for fn in fns]
+    def visit(start: int, approx: np.ndarray, down: tuple | None = None) -> None:
+        targets = [_target_indices(approx, fn, slack, down) if cheap else None for fn in fns]
         if all(t is not None for t in targets):
             movers = [(t != stay).nonzero()[0] for t in targets]
             held[start] = [(moved, t[moved]) for moved, t in zip(movers, targets)]
@@ -390,8 +397,10 @@ def _noisy_sweep(
         acc = rows[:, lo:hi].T[::-1].copy()  # acc[k] is column hi - 1 - k
         acc[0] += tail
         np.cumsum(acc, axis=0, out=acc)
+        # the cost-free downward analysis of each curve, shared by the groups
+        downs = _downward(acc, slack) if cheap else [None] * (hi - lo)
         for k in range(hi - lo):
-            visit(hi - 1 - k, acc[k])
+            visit(hi - 1 - k, acc[k], downs[k])
         tail = acc[-1]
     if not held:
         return tuple(points)

@@ -12,6 +12,7 @@ certificate to one written from its definition.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import warnings
 
 import numpy as np
@@ -41,7 +42,7 @@ from stratclass import (
     subpop_accuracies,
     threshold_sweep,
 )
-from stratclass.game import KNIFE_EDGE_ATOL, _target_indices
+from stratclass.game import KNIFE_EDGE_ATOL, _downward, _target_indices
 from stratclass.model import _cell_edges
 from stratclass.sampling import (
     random_kernel,
@@ -169,10 +170,24 @@ def test_certified_scan_matches_the_reference_scan(seed, n, separable, groups, e
     _assert_matches_reference(_random_scenario(seed, n, separable, groups, edge, tie, gaussian))
 
 
-@pytest.mark.parametrize("sigma", [0.3, 1.0])
-def test_certified_scan_matches_the_reference_on_an_instance(sigma):
-    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=sigma)
-    _assert_matches_reference(discretize_instance(inst, n=201).scenario)
+# id -> (sigma_a, sigma_b, s_a, sigma): two of the pinned instance's noise
+# levels, then the benchmark's noisy instances at seeds 2 and 4, where group B moves
+_INSTANCES = {
+    "0.3": (0.5, 1.0, 0.25, 0.3),
+    "1.0": (0.5, 1.0, 0.25, 1.0),
+    "noisy-801-seed2": (0.5764, 0.9602, 0.218, 0.902),
+    "noisy-801-seed4": (0.4677, 1.0145, 0.267, 0.9046),
+}
+
+
+def _instance_scenario(sigma_a, sigma_b, s_a, sigma, n=201):
+    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=sigma_a, sigma_b=sigma_b, s_a=s_a, sigma=sigma)
+    return discretize_instance(inst, n=n).scenario
+
+
+@pytest.mark.parametrize("params", _INSTANCES.values(), ids=_INSTANCES.keys())
+def test_certified_scan_matches_the_reference_on_an_instance(params):
+    _assert_matches_reference(_instance_scenario(*params))
 
 
 def _random_curve(rng: np.random.Generator, n: int, rising: bool) -> np.ndarray:
@@ -287,6 +302,84 @@ def test_one_drop_an_ulp_either_side_of_the_band(negative, above, target):
     assert all("move 1 -> 0" in w for w in warned)
 
 
+def _curve_block(rng: np.random.Generator, space, b: int, gaussian: bool, dip: bool) -> np.ndarray:
+    """b cuts' curves, summed over the kernel's columns from the top as the sweep does.
+
+    A Gaussian kernel gives nondecreasing curves, a Dirichlet one curves
+    with drops far beyond the band.  Saturated plateaus wobble by a few ulps,
+    and with ``dip`` one curve drops within a few ulps of the band.
+    """
+    n = space.n
+    if gaussian:
+        kernel = NoiseKernel.gaussian(space, rng.uniform(0.05, 2.0))
+    else:
+        kernel = random_kernel(rng, space)
+    curves = np.cumsum(kernel.rows.T[::-1], axis=0)  # curve k faces cut n - 1 - k
+    curves = curves[rng.integers(n, size=b)]
+    plateau = curves >= curves.max(axis=1, keepdims=True) - 1e-9
+    wobble = rng.integers(-3, 4, size=curves.shape) * np.spacing(curves)
+    curves = np.where(plateau & (rng.random(curves.shape) < 0.5), curves + wobble, curves)
+    if dip and n > 1:
+        r, j = int(rng.integers(b)), int(rng.integers(1, n))
+        top = curves[r, :j].max()
+        curves[r, j] = top - KNIFE_EDGE_ATOL - float(rng.integers(-3, 4)) * np.spacing(top)
+    return np.ascontiguousarray(curves)
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 14),
+    b=st.integers(1, 6),
+    gaussian=st.booleans(),
+    dip=st.booleans(),
+    movers=st.booleans(),
+    slack=st.sampled_from([None, 0.0, 1e-13]),
+)
+@settings(max_examples=300, deadline=None)
+def test_a_block_row_of_the_downward_analysis_matches_the_plain_call(
+    seed, n, b, gaussian, dip, movers, slack
+):
+    # every group of a noisy sweep reads its cut's row of one block analysis;
+    # each must answer as the call that analyses the curve alone
+    rng = np.random.default_rng(seed)
+    space = random_space(rng, n)
+    curves = _curve_block(rng, space, b, gaussian, dip)
+    if movers:
+        fn = _separable(rng, space)
+    else:
+        # every upward step costs more than any gain on a curve within [0, 1]
+        fn = shift_cost(space, np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n)))
+    downs = _downward(curves, slack)
+    assert len(downs) == b
+    for q, down in zip(curves, downs):
+        shared, shared_warned = _recorded(_target_indices, q, fn, slack, down)
+        alone, alone_warned = _recorded(_target_indices, q, fn, slack)
+        assert (shared is None) == (alone is None)
+        if alone is not None:
+            assert shared.tolist() == alone.tolist()
+        assert shared_warned == alone_warned
+        if slack is None:
+            # and both answer as the comparison of every pair does
+            generic, generic_warned = _recorded(_target_indices, q, CostFunction(space, fn.costs))
+            assert alone.tolist() == generic.tolist() == reference_targets(q, fn.costs)
+            assert alone_warned == generic_warned
+
+
+def test_the_first_downward_pair_names_the_first_larger_predecessor():
+    # row 2 is the first with a drop, 3 ulps, inside the band; its first
+    # larger predecessor is 0, not the prefix maximum at 1
+    x = 0.75
+    q = np.array([x + np.spacing(x), x + 3 * np.spacing(x), x])
+    space = FeatureSpace(np.array([0.0, 1.0, 2.0]))
+    fn = shift_cost(space, np.array([0.0, 1.0, 2.0]))
+    assert _downward(q[None]) == [(3 * np.spacing(x), q[1], (2, 0))]
+    got, warned = _recorded(_target_indices, q, fn)
+    generic, generic_warned = _recorded(_target_indices, q, CostFunction(space, fn.costs))
+    assert got.tolist() == [0, 1, 2] == generic.tolist()
+    assert len(warned) == 1 and "move 2 -> 0" in warned[0]
+    assert warned == generic_warned
+
+
 @given(
     seed=st.integers(0, 2**32 - 1),
     n=st.integers(1, 12),
@@ -336,8 +429,12 @@ def test_an_upward_decision_within_the_slack_is_refused(slack, certified):
 
 
 def _gaussian_instance(n: int):
-    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=1.0)
-    return discretize_instance(inst, n=n).scenario
+    return _instance_scenario(0.5, 1.0, 0.25, 1.0, n)
+
+
+def _slack_of(args: tuple, kwargs: dict) -> float | None:
+    """The ``slack`` one call of ``_target_indices`` passes, however it is passed."""
+    return inspect.signature(_target_indices).bind(*args, **kwargs).arguments.get("slack")
 
 
 def test_noisy_solve_calls_one_best_response_per_cut_and_group(monkeypatch):
@@ -366,9 +463,9 @@ def test_a_tabular_group_sends_every_cut_to_the_matvec(monkeypatch):
     n = scen.space.n
     slacks = []
 
-    def counted(values, costs, slack=None):
-        slacks.append(slack)
-        return _target_indices(values, costs, slack)
+    def counted(*args, **kwargs):
+        slacks.append(_slack_of(args, kwargs))
+        return _target_indices(*args, **kwargs)
 
     monkeypatch.setattr(noise, "_target_indices", counted)
     _quiet(threshold_sweep, scen)
@@ -376,19 +473,24 @@ def test_a_tabular_group_sends_every_cut_to_the_matvec(monkeypatch):
     assert all(slack is None for slack in slacks)
 
 
-@pytest.mark.parametrize("sigma, with_movers", [(0.3, 400), (1.0, 0)])
-def test_no_cut_of_a_gaussian_instance_is_refused(monkeypatch, sigma, with_movers):
+@pytest.mark.parametrize(
+    "params, with_movers",
+    [
+        pytest.param(_INSTANCES[key], movers, id=f"{key}-{movers}")
+        for key, movers in zip(_INSTANCES, [400, 0, 200, 200])
+    ],
+)
+def test_no_cut_of_a_gaussian_instance_is_refused(monkeypatch, params, with_movers):
     # a Gaussian kernel gives every cut a nondecreasing curve, which has no
     # downward move for the certificate to refuse; the matvec fallback is
     # exact, so only this count would show such cuts being refused
-    inst = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=sigma)
-    scen = discretize_instance(inst, n=201).scenario
+    scen = _instance_scenario(*params)
     n = scen.space.n
     answers = []
 
-    def counted(values, costs, slack=None):
-        got = _target_indices(values, costs, slack)
-        answers.append((slack, got))
+    def counted(*args, **kwargs):
+        got = _target_indices(*args, **kwargs)
+        answers.append((_slack_of(args, kwargs), got))
         return got
 
     monkeypatch.setattr(noise, "_target_indices", counted)

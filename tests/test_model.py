@@ -388,6 +388,27 @@ class TestSubpopulationScenario:
         with pytest.raises(ValidationError, match="share the feature grid"):
             SubpopulationScenario(pop=pop, shares=np.array([1.0]), cost_fns=(cost,))
 
+    @pytest.mark.parametrize("noisy", [False, True])
+    def test_one_group_scenario_is_the_validated_one(self, noisy):
+        # the one-group wrappers skip the checks a single share of 1.0 and
+        # one default label cannot fail, but still compare the grids
+        space = FeatureSpace([0.0, 1.0])
+        pop = Population(space, [0.5, 0.5], [0.0, 1.0])
+        cost = shift_cost(space, [0.0, 0.5])
+        kernel = NoiseKernel.gaussian(space, 0.5) if noisy else None
+        got = model._single(pop, cost, kernel)
+        want = SubpopulationScenario(pop, (1.0,), (cost,), kernel)
+        for name in ("pop", "cost_fns", "kernel", "labels"):
+            assert getattr(got, name) == getattr(want, name)
+        assert got.shares.tobytes() == want.shares.tobytes()
+        assert not got.shares.flags.writeable
+        other = FeatureSpace([0.0, 2.0])
+        with pytest.raises(ValidationError, match="share the feature grid"):
+            model._single(pop, shift_cost(other, [0.0, 0.5]), kernel)
+        if noisy:
+            with pytest.raises(ValidationError, match="share the feature grid"):
+                model._single(pop, cost, NoiseKernel.gaussian(other, 0.5))
+
 
 _SPACE = FeatureSpace([0.0, 1.0])
 _POP = Population(_SPACE, [0.5, 0.5], [0.0, 1.0])
