@@ -25,6 +25,7 @@ from scipy.special import ndtr
 
 from .model import (
     DENSE_BYTES_LIMIT,  # re-exported: README and tests name analytic.DENSE_BYTES_LIMIT
+    PROB_ATOL,
     CostFunction,
     FeatureSpace,
     NoiseKernel,
@@ -95,7 +96,7 @@ class GaussianInstance:
                 raise ValidationError(f"{name}: must be positive")
         if not (0.0 <= self.s_a <= 1.0 and 0.0 <= self.s_b <= 1.0):
             raise ValidationError("shares must lie in [0, 1]")
-        if abs(self.s_a + self.s_b - 1.0) > 1e-12:
+        if abs(self.s_a + self.s_b - 1.0) > PROB_ATOL:
             raise ValidationError("shares must sum to 1")
         if self.sigma < 0:
             raise ValidationError("sigma: must be nonnegative")
@@ -313,12 +314,11 @@ def discretize_instance(inst: GaussianInstance, n: int = 401) -> DiscretizedInst
 
     cost_a = shift_cost(space, points / (_ROOT_2PI * inst.sigma_a))
     cost_b = shift_cost(space, points / (_ROOT_2PI * inst.sigma_b))
-    kernel = NoiseKernel.gaussian(space, inst.sigma) if inst.sigma > 0 else None
     scenario = SubpopulationScenario(
         pop=pop,
         shares=np.array([inst.s_a, inst.s_b]),
         cost_fns=(cost_a, cost_b),
-        kernel=kernel,
+        kernel=NoiseKernel.gaussian(space, inst.sigma),
         labels=("A", "B"),
     )
     budget = (

@@ -44,9 +44,9 @@ from .model import (
     _dense_fit_count,
 )
 from .noise import solve_deterministic_noisy, subpop_accuracies
-from .reproduce import TARGETS, ReproduceResult, run_reproduce
+from .reproduce import TARGETS, ReproduceResult, _fmt, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
-from .solvers import LP_MAX_POINTS, solve_efficiency_lp
+from .solvers import solve_efficiency_lp
 
 __all__ = ["main"]
 
@@ -67,20 +67,12 @@ class CliError(Exception):
     """A usage or validation problem; reported on stderr with exit code 2."""
 
 
-def _fmt(value: float) -> str:
-    return "%.12g" % float(value)
-
-
-def _round12(value: float) -> float:
-    # 12 significant digits, so json and csv encodings agree exactly
-    return float(f"{float(value):.12g}")
-
-
 def _jsonable(value: Any) -> Any:
     if isinstance(value, bool):
         return value
     if isinstance(value, (float, np.floating)):
-        return _round12(value)
+        # the 12 digits csv prints, so json and csv encodings agree exactly
+        return float(_fmt(value))
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_jsonable(v) for v in value]
     return value
@@ -182,11 +174,6 @@ def cmd_solve(args: argparse.Namespace, out: TextIO) -> int:
         raise CliError(
             "the efficiency linear program solves a single population; "
             "merge the subpopulations or solve them separately"
-        )
-    if scen.space.n > LP_MAX_POINTS:
-        raise CliError(
-            f"the efficiency linear program is capped at LP_MAX_POINTS = "
-            f"{LP_MAX_POINTS} grid points; this scenario has {scen.space.n}"
         )
     rep = solve_efficiency_lp(scen.pop, scen.cost_fns[0])
     pairs = [("g", list(rep.classifier.probs)), ("E", rep.objective)]

@@ -193,7 +193,7 @@ def _generic_targets(q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, tupl
     return np.where(best > -np.inf, (cand == best[..., None]).argmax(axis=-1), idx), edge
 
 
-def _downward(curves: np.ndarray, slack: float | None = None) -> list[_Down]:
+def _downward(curves: np.ndarray) -> list[_Down]:
     """The cost-free half of the separable best response, per curve of a block.
 
     Every separable cost charges +0.0 for a downward move, so this half reads
@@ -214,10 +214,7 @@ def _downward(curves: np.ndarray, slack: float | None = None) -> list[_Down]:
     pair is (i, the first j with q[j] > q[i]), which lies before i.  Only
     when drop[i] reaches the band, so that a downward move is available or
     on the band's edge, does the pair take the doubling search over the rows
-    with a drop.  A curve that ``slack`` refuses gets no search and no pair,
-    as its best response never reads them; with slack >= 0 that is every
-    curve whose first drop reaches the band.  The temporaries are a few
-    arrays the size of the block.
+    with a drop.  The temporaries are a few arrays the size of the block.
     """
     b, n = curves.shape
     run = np.maximum.accumulate(curves, axis=1)
@@ -235,7 +232,7 @@ def _downward(curves: np.ndarray, slack: float | None = None) -> list[_Down]:
         for r in lit.tolist():
             if inside[r]:
                 pairs[r] = (int(first[r]) + 1, int(later[r]))
-            elif slack is None or top[r] - KNIFE_EDGE_ATOL < -slack:
+            else:
                 pairs[r] = _first_drop_pair(curves[r], drop[r])
     return list(zip(top.tolist(), size.tolist(), pairs))
 
@@ -277,7 +274,7 @@ def _separable_targets(
     decides the upward moves.  The upward block runs in blocks of rows, so
     its temporaries stay within about ``_BLOCK_BYTES`` however large n is.
     """
-    top, size, pair = _downward(q[None], slack)[0] if down is None else down
+    top, size, pair = _downward(q[None])[0] if down is None else down
     # rounding is monotone, so the largest drop answers for every row
     if slack is not None and top - KNIFE_EDGE_ATOL >= -slack:
         return None, None

@@ -458,8 +458,12 @@ class NoiseKernel:
         return cls(space, np.eye(space.n))
 
     @classmethod
-    def gaussian(cls, space: FeatureSpace, sigma: float) -> "NoiseKernel":
+    def gaussian(cls, space: FeatureSpace, sigma: float) -> "NoiseKernel | None":
         """Additive centred Gaussian noise, integrated over grid cells.
+
+        At sigma 0 the result is None, no kernel: the noiseless game, as with
+        no noise section.  Every caller that maps a noise level to a kernel
+        takes that rule from here.
 
         Row i holds the mass of Normal(points[i], sigma) over each cell of
         the grid (cells are delimited by neighbour midpoints, outer cells
@@ -484,7 +488,7 @@ class NoiseKernel:
         if sigma < 0:
             raise ValidationError("sigma: must be nonnegative")
         if sigma == 0:
-            return cls.identity(space)
+            return None
         n = space.n
         _require_dense_fits(n, 1)
         points = space.points

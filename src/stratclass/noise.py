@@ -398,7 +398,7 @@ def _noisy_sweep(
         acc[0] += tail
         np.cumsum(acc, axis=0, out=acc)
         # the cost-free downward analysis of each curve, shared by the groups
-        downs = _downward(acc, slack) if cheap else [None] * (hi - lo)
+        downs = _downward(acc) if cheap else [None] * (hi - lo)
         for k in range(hi - lo):
             visit(hi - 1 - k, acc[k], downs[k])
         tail = acc[-1]

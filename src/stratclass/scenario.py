@@ -372,8 +372,8 @@ def noise_rebuilder(loaded: LoadedScenario) -> Callable[[float], tuple]:
     """The map from a noise level sigma to the scenario and classifier rebuilt at it.
 
     An instance document goes back through ``build_scenario`` with its sigma
-    replaced; a discrete one keeps its costs and gets a Gaussian kernel, none
-    at 0.  A tabular kernel has no sigma and is refused before any rebuild.
+    replaced; a discrete one keeps its costs and gets ``NoiseKernel.gaussian``
+    at sigma, none at 0.  A tabular kernel has no sigma and is refused first.
     """
     source, scen = loaded.source, loaded.scenario
     if loaded.instance is None and source.get("noise", {}).get("kind") == "tabular":
@@ -381,7 +381,7 @@ def noise_rebuilder(loaded: LoadedScenario) -> Callable[[float], tuple]:
 
     def rebuild(sigma: float) -> tuple[SubpopulationScenario, Classifier | None]:
         if loaded.instance is None:
-            kernel = None if sigma == 0 else NoiseKernel.gaussian(scen.space, sigma)
+            kernel = NoiseKernel.gaussian(scen.space, sigma)
             return dataclasses.replace(scen, kernel=kernel), loaded.classifier
         inst = dict(source["gaussian_instance"], sigma=sigma)
         row = build_scenario(dict(source, gaussian_instance=inst))

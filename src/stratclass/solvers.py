@@ -22,7 +22,15 @@ import itertools
 import numpy as np
 
 from .game import _target_indices, efficiency
-from .model import Classifier, CostFunction, Population, SolveReport, _require_same_space, _single
+from .model import (
+    Classifier,
+    CostFunction,
+    Population,
+    SolveReport,
+    ValidationError,
+    _require_same_space,
+    _single,
+)
 from .noise import solve_deterministic_noisy
 
 __all__ = [
@@ -123,7 +131,10 @@ def solve_efficiency_lp(pop: Population, c: CostFunction) -> SolveReport:
     space = _require_same_space(pop, c)
     n = space.n
     if n > LP_MAX_POINTS:
-        raise ValueError(f"LP solver is capped at {LP_MAX_POINTS} grid points (got {n})")
+        raise ValidationError(
+            f"the efficiency linear program is capped at LP_MAX_POINTS = "
+            f"{LP_MAX_POINTS} grid points; this scenario has {n}"
+        )
 
     # Variables g[0..n-1]; maximise sum pi (2h - 1) g  subject to
     # g[j] - g[i] <= c[i, j] for all pairs, 0 <= g <= 1.  Constraints with

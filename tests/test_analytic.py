@@ -38,6 +38,10 @@ class TestGaussianInstance:
             GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, s_b=0.5)
         with pytest.raises(ValidationError, match="positive"):
             GaussianInstance(t=0.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25)
+        with pytest.raises(ValidationError, match=r"shares must lie in \[0, 1\]"):
+            GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=1.5)
+        with pytest.raises(ValidationError, match="sigma: must be nonnegative"):
+            GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.25, sigma=-1.0)
 
     def test_ramp_must_dwarf_the_spread(self):
         with pytest.raises(ValidationError, match="d >= 8 max"):
@@ -116,6 +120,10 @@ class TestClosedForms:
         assert not inst.in_regime
         with pytest.warns(RegimeWarning):
             noiseless_optimal_tau(inst)
+        # further out the bracket holds two interior maxima
+        bimodal = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.5, s_a=0.4)
+        with pytest.warns(UnimodalityWarning, match="looks multimodal on the bracket"):
+            noiseless_optimal_tau(bimodal)
 
     def test_noisy_fair_value_and_regime_warning(self):
         quiet = GaussianInstance(

@@ -349,7 +349,7 @@ def test_a_block_row_of_the_downward_analysis_matches_the_plain_call(
     else:
         # every upward step costs more than any gain on a curve within [0, 1]
         fn = shift_cost(space, np.cumsum(1.0 + rng.uniform(0.0, 1.0, size=n)))
-    downs = _downward(curves, slack)
+    downs = _downward(curves)
     assert len(downs) == b
     for q, down in zip(curves, downs):
         shared, shared_warned = _recorded(_target_indices, q, fn, slack, down)

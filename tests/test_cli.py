@@ -20,6 +20,7 @@ from stratclass import cli, model
 from stratclass.cli import main
 from stratclass.model import DENSE_BYTES_LIMIT
 from stratclass.reproduce import TARGETS
+from stratclass.scenario import parse_scenario
 from stratclass.solvers import LP_MAX_POINTS
 
 S1 = """\
@@ -121,6 +122,7 @@ def files(tmp_path):
         "s2noclf": S2_NOCLF,
         "s3": S3,
         "grouped": GROUPED,
+        "groupednoclf": GROUPED[: GROUPED.index("classifier:")],
         "badpi": BAD_PI,
         "nearmax": NEAR_FLOAT_MAX,
         "overcap": OVER_LP_CAP,
@@ -464,6 +466,9 @@ class TestSweep:
         rc, _, err = run(capsys, "sweep", files["s2"], "--param", "tau", "--range", "1:2")
         assert rc == 2
         assert "lo:hi:steps" in err
+        rc, _, err = run(capsys, "sweep", files["s2"], "--param", "tau", "--range", "a:2:3")
+        assert rc == 2
+        assert err == "error: --range expects lo:hi:steps, got 'a:2:3'\n"
 
     def test_too_few_steps(self, files, capsys):
         rc, _, err = run(capsys, "sweep", files["s2"], "--param", "tau", "--range", "0:1:1")
@@ -504,10 +509,38 @@ class TestSweep:
         assert rc == 2
         assert "tabular noise kernel" in err
 
-    def test_sigma_sweep_needs_classifier(self, files, capsys):
-        rc, _, err = run(capsys, "sweep", files["s2noclf"], "--param", "sigma", "--range", "0:1:3")
-        assert rc == 2
-        assert "classifier section" in err
+    def test_sweep_needs_classifier(self, files, capsys):
+        # a sigma sweep on one group and a share sweep on two
+        for name, param in (("s2noclf", "sigma"), ("groupednoclf", "s_A")):
+            rc, _, err = run(capsys, "sweep", files[name], "--param", param, "--range", "0:1:3")
+            assert rc == 2
+            assert err == "error: the scenario file needs a classifier section to sweep\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate",),
+        ("solve", "--objective", "efficiency", "--mode", "randomized"),
+        ("solve", "--objective", "utility", "--mode", "deterministic"),
+        ("sweep", "--param", "tau", "--range", "0.5:2:4"),
+    ],
+    ids=["evaluate", "solve-lp", "solve-threshold", "sweep-tau"],
+)
+def test_gaussian_noise_at_sigma_zero_is_no_noise(tmp_path, capsys, argv):
+    # the noiseless channel is one game, however the file spells it; a
+    # randomized table classifier and the LP need it to have no kernel
+    command, *flags = argv
+    results = []
+    for noise in ("{kind: gaussian, sigma: 0}", "{kind: none}"):
+        text = S2.replace("classifier:", f"noise: {noise}\nclassifier:")
+        assert parse_scenario(text).scenario.kernel is None
+        path = tmp_path / "s2.yaml"
+        path.write_text(text)
+        rc, out, _ = run(capsys, command, str(path), *flags)
+        results.append((rc, out))
+    assert results[0] == results[1]
+    assert results[0][0] == 0
 
 
 class TestReproduce:

@@ -277,10 +277,9 @@ class TestNoiseKernel:
         k = NoiseKernel.identity(space)
         assert np.array_equal(k.rows, np.eye(3))
 
-    def test_gaussian_zero_sigma_is_identity(self):
+    def test_gaussian_zero_sigma_is_no_kernel(self):
         space = FeatureSpace([0.0, 1.0, 2.0])
-        k = NoiseKernel.gaussian(space, 0.0)
-        assert np.array_equal(k.rows, np.eye(3))
+        assert NoiseKernel.gaussian(space, 0.0) is None
 
     def test_gaussian_rows_close_exactly(self):
         space = FeatureSpace(np.linspace(-2.0, 2.0, 9))

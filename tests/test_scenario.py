@@ -126,7 +126,7 @@ class TestParsing:
             "noise:\n  kind: gaussian\n  sigma: 0.0",
         )
         loaded = parse_scenario(text)
-        assert np.array_equal(loaded.scenario.kernel.rows, np.eye(2))
+        assert loaded.scenario.kernel is None
 
     def test_linear_cost_kind(self):
         text = """\
