@@ -214,7 +214,8 @@ def _downward(curves: np.ndarray) -> list[_Down]:
     pair is (i, the first j with q[j] > q[i]), which lies before i.  Only
     when drop[i] reaches the band, so that a downward move is available or
     on the band's edge, does the pair take the doubling search over the rows
-    with a drop.  The temporaries are a few arrays the size of the block.
+    with a drop; here its pair is None, and the best response searches only
+    the curves it keeps.  The temporaries are a few arrays the block's size.
     """
     b, n = curves.shape
     run = np.maximum.accumulate(curves, axis=1)
@@ -232,8 +233,6 @@ def _downward(curves: np.ndarray) -> list[_Down]:
         for r in lit.tolist():
             if inside[r]:
                 pairs[r] = (int(first[r]) + 1, int(later[r]))
-            else:
-                pairs[r] = _first_drop_pair(curves[r], drop[r])
     return list(zip(top.tolist(), size.tolist(), pairs))
 
 
@@ -334,6 +333,8 @@ def _separable_targets(
                     r, k = [int(v[0]) for v in np.nonzero(near)]
                     edge = (int(block[r]), int(cols[k]))
 
+    if pair is None and top > 0.0:  # the first drop reaches the band
+        pair = _first_drop_pair(q, np.maximum.accumulate(q)[:-1] - q[1:])
     # within one row a downward pair precedes every upward one
     if pair is not None and (edge is None or pair[0] <= edge[0]):
         edge = pair

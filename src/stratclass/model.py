@@ -461,9 +461,8 @@ class NoiseKernel:
     def gaussian(cls, space: FeatureSpace, sigma: float) -> "NoiseKernel | None":
         """Additive centred Gaussian noise, integrated over grid cells.
 
-        At sigma 0 the result is None, no kernel: the noiseless game, as with
-        no noise section.  Every caller that maps a noise level to a kernel
-        takes that rule from here.
+        At sigma 0 there is no kernel: the result is None, the noiseless game,
+        and every caller that maps a noise level to a kernel takes it from here.
 
         Row i holds the mass of Normal(points[i], sigma) over each cell of
         the grid (cells are delimited by neighbour midpoints, outer cells
