@@ -24,7 +24,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .model import (
-    DENSE_BYTES_LIMIT,  # re-exported: README and tests name analytic.DENSE_BYTES_LIMIT
     PROB_ATOL,
     CostFunction,
     FeatureSpace,

@@ -128,7 +128,7 @@ def _evaluation_pairs(loaded: LoadedScenario, f: Classifier) -> list[tuple[str, 
         ("C", rep.cost),
         ("E", rep.efficiency),
     ]
-    if loaded.k > 1:
+    if loaded.scenario.k > 1:
         for label, u in zip(rep.labels, rep.utilities):
             pairs.append((f"U_{label}", u))
         pairs.append(("gap", rep.gap))
@@ -224,7 +224,7 @@ def _sweep_worker(
         return rebuild
 
     # s_A: reweight the first two subpopulations
-    if loaded.k != 2:
+    if loaded.scenario.k != 2:
         raise CliError("s_A sweeps need exactly two subpopulations")
     if loaded.classifier is None:
         raise CliError("the scenario file needs a classifier section to sweep")

@@ -162,15 +162,13 @@ class Population:
     """Mass distribution ``pi`` and qualification rates ``h`` over a grid.
 
     ``h`` must be monotone nondecreasing along the grid (higher features are
-    weakly better qualified).  Pass ``allow_nonmonotone_h=True`` to explore
-    configurations outside that convention; the solvers and the cost axioms
-    assume the monotone case.
+    weakly better qualified), as the solvers and the cost axioms assume.
+    Every refusal names its field first, ``pi:`` or ``h:``.
     """
 
     space: FeatureSpace
     pi: np.ndarray
     h: np.ndarray
-    allow_nonmonotone_h: bool = False
 
     def __post_init__(self):
         n = self.space.n
@@ -179,11 +177,8 @@ class Population:
         _require_distribution(pi, "pi")
         if np.any(h < 0) or np.any(h > 1):
             raise ValidationError("h: entries must lie in [0, 1]")
-        if not self.allow_nonmonotone_h and n > 1 and np.any(np.diff(h) < 0):
-            raise ValidationError(
-                "h: must be monotone nondecreasing "
-                "(pass allow_nonmonotone_h=True to override)"
-            )
+        if np.any(h[1:] < h[:-1]):
+            raise ValidationError("h: must be monotone nondecreasing")
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "h", h)
 
@@ -284,8 +279,9 @@ class CostFunction:
     on those entries is canonicalised to exact zero).  Sub-additivity is the
     caller's responsibility; run :func:`validate_simple_cost` on ``costs``
     for the full certificate.  A separable cost (:func:`shift_cost`) is
-    stored as its ``a`` alone: ``costs`` is built on first read, and
-    :meth:`at` serves entries without it.
+    stored as its ``a`` alone: ``costs`` is built on first read, refused
+    like any n x n build beyond ``DENSE_BYTES_LIMIT``, and :meth:`at` serves
+    entries without it.
     """
 
     space: FeatureSpace
@@ -320,6 +316,7 @@ class CostFunction:
         # only a separable cost lacks costs; racing threads build equal bits
         if name != "costs" or self._a is None:
             raise AttributeError(name)
+        _require_dense_fits(self._a.size, 1)
         c = self._a[None, :] - self._a[:, None]
         np.maximum(c, 0.0, out=c)
         c.flags.writeable = False

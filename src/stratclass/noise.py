@@ -15,26 +15,16 @@ group's accuracy and spend one dot product a cut.  Without noise the fast path
 only names each cut's movers and their costs and writes them into reused
 buffers; with noise every cut still takes its own best responses.
 
-A noisy sweep does not take one matvec per cut.  Each cut's curve q~ comes
-off one cumulative sum over the kernel's columns and lies within
-delta = 2 gamma_{n+1} S of the matvec's q, S the largest row sum.  A best
-response to q~ is kept only when it certifies at slack = 2 delta + 8uS
-(the predicate is stated in :func:`stratclass.game._target_indices`), which
-makes it the one q gives.  The cost-free downward half of those best
-responses (each curve's largest drop, max|q~| and first downward knife-edge
-pair) is computed once per block of cuts and shared by the groups, whose
-calls then decide only their upward moves.  Only a separable cost
-certifies, so a sweep with a tabular group takes the matvec at every cut.
-Otherwise a cut that does not certify takes the matvec: one whose curve has
-a downward move available or within slack of it, which the nondecreasing
-curves of a Gaussian kernel never have, or an upward decision or a
-runner-up pick within slack.  A kept cut's utility is then off by at most
-Delta, about delta + 4 gamma_{n+2} (derived in :func:`threshold_sweep`),
-and every kept cut within 2 Delta of the best utility or efficiency is
-evaluated again on q.  So those points, every fallback point and the best
-threshold for either objective are bit for bit what the matvec scan gives;
-other points may differ in the last bits of their utilities.  From
-n = 2249 on, slack reaches KNIFE_EDGE_ATOL and every cut takes the matvec.
+A noisy sweep does not take one matvec per cut.  It reads each cut's curve
+off one cumulative sum over the kernel's columns, and keeps a best response
+to that curve only when it certifies that the matvec's curve gives the same
+targets; only a separable cost certifies, so a sweep with a tabular group
+takes the matvec at every cut.  The cost-free downward half of those best
+responses is computed once per block of cuts and shared by the groups.  The
+best threshold for either objective and every point that falls back are bit
+for bit what the matvec scan gives.  :func:`threshold_sweep` derives the
+certificate's slack, the utility error bound and the grid size from which
+every cut falls back.
 """
 
 from __future__ import annotations
@@ -140,14 +130,15 @@ def _fast_path_ok(c: CostFunction) -> bool:
 
     The matrix test flags a separable pair only if a[j] - a[i] lies within
     KNIFE_EDGE_ATOL + eps of 1, and each bound of the sorted search errs by
-    under 3 eps (1 + max|a|) / 2, so ``slack`` covers both.  A refused safe
-    cost only takes the generic path, to the same targets and warnings.
+    under 3 eps (1 + max|a|) / 2, so ``slack`` covers both; ``a`` is
+    nondecreasing, so max|a| sits at one of its ends.  A refused safe cost
+    only takes the generic path, to the same targets and warnings.
     """
     a = c._a
     if a is None:
         rows_monotone = bool(np.all(np.diff(c.costs, axis=1) >= 0.0))
         return rows_monotone and not np.any(np.abs(c.costs - 1.0) < KNIFE_EDGE_ATOL)
-    slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(a).max())
+    slack = 4.0 * np.finfo(float).eps * (1.0 + max(-a[0], a[-1]))
     with np.errstate(over="ignore"):  # an infinite bound only widens the window
         lo = np.searchsorted(a, a + (1.0 - KNIFE_EDGE_ATOL - slack))
         hi = np.searchsorted(a, a + (1.0 + KNIFE_EDGE_ATOL + slack), side="right")

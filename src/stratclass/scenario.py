@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 import yaml
 
-from .analytic import _ROOT_2PI, DiscretizedInstance, GaussianInstance, discretize_instance
+from .analytic import _ROOT_2PI, GaussianInstance, discretize_instance
 from .model import (
     Classifier,
     CostFunction,
@@ -166,12 +166,7 @@ class LoadedScenario:
     scenario: SubpopulationScenario
     classifier: Classifier | None
     instance: GaussianInstance | None = None
-    discretized: DiscretizedInstance | None = None
     threshold: tuple[float, bool] | None = None
-
-    @property
-    def k(self) -> int:
-        return self.scenario.k
 
 
 def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFunction:
@@ -282,19 +277,18 @@ def build_scenario(source: dict, marks: dict[tuple, int] | None = None) -> Loade
             scenario=disc.scenario,
             classifier=clf,
             instance=inst,
-            discretized=disc,
             threshold=cut,
         )
 
     with doc.checked(("features",)):
         space = FeatureSpace(doc.vector(doc.require(top, (), "features"), ("features",)))
-    # each length is checked at its own field; the Population checks name the document
+    # a Population refusal names its field first and is reported at that field
     pi, h = [doc.vector(doc.require(top, (), key), (key,)) for key in ("pi", "h")]
-    for key, vec in (("pi", pi), ("h", h)):
-        if vec.shape != (space.n,):
-            raise doc.fail((key,), f"expected {space.n} entries, got {vec.shape}")
-    with doc.checked(()):
+    try:
         pop = Population(space, pi, h)
+    except ValidationError as e:
+        key, _, message = str(e).partition(": ")
+        raise doc.fail((key,), message) from e
 
     kernel = None
     if "noise" in top:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
-from stratclass import analytic
+from stratclass import analytic, model
 from stratclass import (
     GaussianInstance,
     RegimeWarning,
@@ -270,7 +270,7 @@ class TestSizeGuard:
     def test_boundary(self, stop_after_guard, inst, matrices):
         # 8 bytes per entry of each kept n x n matrix: two costs, plus the kernel
         n = 201
-        while 8 * (n + 2) ** 2 * matrices <= analytic.DENSE_BYTES_LIMIT:
+        while 8 * (n + 2) ** 2 * matrices <= model.DENSE_BYTES_LIMIT:
             n += 2
         with pytest.raises(stop_after_guard):
             discretize_instance(inst, n=n)

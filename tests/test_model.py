@@ -84,8 +84,6 @@ class TestPopulation:
         space = FeatureSpace([0.0, 1.0])
         with pytest.raises(ValidationError, match="monotone"):
             Population(space, [0.5, 0.5], [1.0, 0.0])
-        pop = Population(space, [0.5, 0.5], [1.0, 0.0], allow_nonmonotone_h=True)
-        assert pop.h[0] == 1.0
 
     def test_shape_mismatch(self):
         space = FeatureSpace([0.0, 1.0])
@@ -115,6 +113,14 @@ class TestCostFunction:
         assert c.costs[1, 2] == pytest.approx(0.7)
         assert np.all(c.costs[np.tril_indices(3)] == 0.0)
         assert validate_simple_cost(c.costs, None) == []
+
+    def test_shift_cost_matrix_refused_beyond_the_dense_limit(self, monkeypatch):
+        # one byte below a 3 x 3 float64 matrix: reading costs must refuse, not build
+        monkeypatch.setattr(model, "DENSE_BYTES_LIMIT", 8 * 3 * 3 - 1)
+        c = shift_cost(FeatureSpace([0.0, 1.0, 2.0]), [0.0, 0.3, 1.0])
+        with pytest.raises(ValidationError, match=r"^n: 3 points need .* GB"):
+            c.costs
+        assert c.at(np.array([0]), np.array([2]))[0] == 1.0
 
     def test_shift_cost_requires_nondecreasing(self):
         space = FeatureSpace([0.0, 1.0])

@@ -146,7 +146,6 @@ cost:
         loaded = parse_scenario(INSTANCE)
         assert loaded.instance is not None
         assert loaded.instance.sigma_a == 0.5
-        assert loaded.discretized is not None
         assert loaded.scenario.space.n == 201
         # Default classifier: the strict zero cut.
         pts = loaded.scenario.space.points
@@ -169,10 +168,9 @@ cost:
 
 class TestDiagnostics:
     def test_bad_mass_reports_line(self):
-        # Population checks pi and h together, so the diagnostic points at
-        # the document, not the single field.
+        # a Population refusal is reported at the field it names
         text = TWOPOINT.replace("pi: [0.5, 0.5]", "pi: [0.5, 0.4]")
-        with pytest.raises(ScenarioError, match="line 1") as err:
+        with pytest.raises(ScenarioError, match="^line 2: pi: ") as err:
             parse_scenario(text)
         assert "sum to 1" in str(err.value)
 
@@ -455,6 +453,11 @@ class TestRefusedDocuments:
                 _edit(LINEAR, "pi: [0.25, 0.5, 0.25]", "pi: [0.25, 0.25, 0.25, 0.25]"),
                 "line 2: pi: expected 3 entries, got (4,)",
                 id="pi-length",
+            ),
+            pytest.param(
+                _edit(LINEAR, "h: [0.2, 0.5, 0.8]", "h: [0.8, 0.5, 0.2]"),
+                "line 3: h: must be monotone nondecreasing",
+                id="decreasing-h",
             ),
             # the model's own checks, reported at the section that built the object
             pytest.param(
