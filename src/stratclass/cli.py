@@ -10,7 +10,8 @@ Four subcommands share the flag ``--format {text,json,csv}``:
 * ``sweep`` re-evaluates the scenario along a parameter grid and writes
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
   apply) once every row is done: the whole sweep, or nothing when a row
-  fails.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
+  fails.  A ``sigma`` or ``s_A`` value outside its domain is refused before
+  any row runs.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
   as many threads as the process may use CPUs.  A sigma sweep runs at most
   as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``, and
   ``--range`` is refused above 2**20 steps, whose rows fill that budget.
@@ -229,13 +230,19 @@ def _sweep_worker(
     if loaded.classifier is None:
         raise CliError("the scenario file needs a classifier section to sweep")
     clf = loaded.classifier
+    return lambda v: (dataclasses.replace(scen, shares=np.array([v, 1.0 - v])), clf)
 
-    def build_share(v: float):
-        if not 0.0 <= v <= 1.0:
-            raise CliError(f"s_A values must lie in [0, 1], got {_fmt(v)}")
-        return dataclasses.replace(scen, shares=np.array([v, 1.0 - v])), clf
 
-    return build_share
+def _refuse_bad_values(param: str, values: np.ndarray) -> None:
+    """Refuse a sweep's first value outside its parameter's domain, before any row runs."""
+    if param == "sigma":
+        bad, rule = values < 0.0, "sigma values must be nonnegative"
+    elif param == "s_A":
+        bad, rule = (values < 0.0) | (values > 1.0), "s_A values must lie in [0, 1]"
+    else:
+        return
+    if bad.any():
+        raise CliError(f"{rule}, got {_fmt(values[bad][0])}")
 
 
 def _sweep_row(value: float, scen: SubpopulationScenario, clf: Classifier) -> list:
@@ -257,6 +264,7 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     values = _parse_range(args.range)
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
+    _refuse_bad_values(args.param, values)
     # one worker per CPU the process may use is as many as can run at once
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     threads = min(args.threads, cpus or 1)

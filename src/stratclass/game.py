@@ -416,8 +416,8 @@ class _Payoffs:
     length n, in :func:`_accuracy` and :func:`_strategy_cost`; ``x`` holds
     one reused buffer per group.  Where nobody moves, :meth:`group` reads q
     in place and reports a spend of exactly +0.0, which is what the dot over
-    the diagonal costs gives: every c_g(i, i) is +0.0 and pi h >= 0.  A
-    caller may also write x and k itself and pass them to :meth:`reduce`.
+    the diagonal costs gives: every c_g(i, i) is +0.0 and pi h >= 0.  The
+    noiseless threshold sweep writes x and k itself and takes the same dots.
     """
 
     __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "x")
@@ -443,11 +443,7 @@ class _Payoffs:
         if stays:
             # every c(i, i) is +0.0, so nobody moving pays exactly +0.0
             return _accuracy(self.pi, x), 0.0
-        return self.reduce(x, self.fns[g].at(self.stay, target))
-
-    def reduce(self, x: np.ndarray, k: np.ndarray) -> tuple[float, float]:
-        """A group's accuracy and spend from its vectors x and k."""
-        return _accuracy(self.pi, x), _strategy_cost(self.pih, k)
+        return _accuracy(self.pi, x), _strategy_cost(self.pih, self.fns[g].at(self.stay, target))
 
     def totals(self, us: list[float], ks: list[float]) -> tuple[float, float, float]:
         """Share-weighted utility and spend, and the gap, of the groups' payoffs."""

@@ -452,6 +452,7 @@ class NoiseKernel:
 
     @classmethod
     def identity(cls, space: FeatureSpace) -> "NoiseKernel":
+        _require_dense_fits(space.n, 1)
         return cls(space, np.eye(space.n))
 
     @classmethod

@@ -11,9 +11,10 @@ every threshold cut of a subpopulation scenario, and
 :func:`solve_deterministic_noisy` is the one scan for the best.  A sweep
 builds one per-group reduction (:class:`~stratclass.game._Payoffs`: w = 2h - 1,
 v = 1 - h, pi h and a buffer per group) and reduces every cut through it, each
-group's accuracy and spend one dot product a cut.  Without noise the fast path
-only names each cut's movers and their costs and writes them into reused
-buffers; with noise every cut still takes its own best responses.
+group's accuracy and spend one dot product a cut.  Without noise and under
+monotone costs the fast path finds each cut's movers as one index range and
+rewrites only what changed in reused buffers; with noise every cut still
+takes its own best responses.
 
 A noisy sweep does not take one matvec per cut.  It reads each cut's curve
 off one cumulative sum over the kernel's columns, and keeps a best response
@@ -38,9 +39,11 @@ from .game import (
     _UNIT,
     BestResponse,
     SubpopReport,
+    _accuracy,
     _downward,
     _Payoffs,
     _respond,
+    _strategy_cost,
     _target_indices,
     effective_acceptance,
     subpop_accuracies,
@@ -128,16 +131,21 @@ class SweepPoint:
 def _fast_path_ok(c: CostFunction) -> bool:
     """Whether :func:`_fast_threshold_targets` may answer for ``c``.
 
-    The matrix test flags a separable pair only if a[j] - a[i] lies within
-    KNIFE_EDGE_ATOL + eps of 1, and each bound of the sorted search errs by
-    under 3 eps (1 + max|a|) / 2, so ``slack`` covers both; ``a`` is
-    nondecreasing, so max|a| sits at one of its ends.  A refused safe cost
-    only takes the generic path, to the same targets and warnings.
+    A tabular cost needs nondecreasing rows, columns nonincreasing going
+    down (the upper triangle's, since the rest is +0.0), and no entry within
+    KNIFE_EDGE_ATOL of the unit gain.  A separable cost has both monotone
+    rows and columns by construction; the matrix test flags it only if
+    a[j] - a[i] lies within KNIFE_EDGE_ATOL + eps of 1, and each bound of
+    the sorted search errs by under 3 eps (1 + max|a|) / 2, so ``slack``
+    covers both; ``a`` is nondecreasing, so max|a| sits at one of its ends.
+    A refused safe cost only takes the generic path, to the same targets
+    and warnings.
     """
     a = c._a
     if a is None:
-        rows_monotone = bool(np.all(np.diff(c.costs, axis=1) >= 0.0))
-        return rows_monotone and not np.any(np.abs(c.costs - 1.0) < KNIFE_EDGE_ATOL)
+        costs = c.costs
+        monotone = np.all(np.diff(costs, axis=1) >= 0.0) and np.all(np.diff(costs, axis=0) <= 0.0)
+        return bool(monotone) and not np.any(np.abs(costs - 1.0) < KNIFE_EDGE_ATOL)
     slack = 4.0 * np.finfo(float).eps * (1.0 + max(-a[0], a[-1]))
     with np.errstate(over="ignore"):  # an infinite bound only widens the window
         lo = np.searchsorted(a, a + (1.0 - KNIFE_EDGE_ATOL - slack))
@@ -145,27 +153,48 @@ def _fast_path_ok(c: CostFunction) -> bool:
     return not np.any(hi > lo)
 
 
-def _fast_threshold_targets(c: CostFunction, start: int) -> tuple[np.ndarray, np.ndarray]:
-    """Who jumps to a noiseless suffix classifier under monotone rows, at what cost.
+def _first_movers(c: CostFunction) -> list[int]:
+    """first[s], the first contestant who jumps to cut s, for s = 0..n.
 
-    Returns the contestants below ``start`` whose first accepted point costs
-    under the unit gain (read through ``c.at``), and those costs; each of
-    them jumps there, the cheapest accepted point and the smallest index,
-    and everyone else stays.  This matches the generic path when no cost
-    lies within KNIFE_EDGE_ATOL of the unit gain, where it would warn.  A
-    tabular cost is tested on its matrix; a separable cost has monotone rows
-    by construction, and a sorted search on ``a`` looks for a[j] near
-    a[i] + 1 (:func:`_fast_path_ok`).
+    Contestant i < s jumps to a noiseless suffix classifier with first
+    accepted index s iff 1.0 > fl(c(i, s) + KNIFE_EDGE_ATOL), the banded
+    comparison :func:`~stratclass.game._target_indices` applies with gain
+    1.0.  Under :func:`_fast_path_ok` c(i, s) is nonincreasing in i, and so
+    is its rounded sum, so the jumpers are the range [first[s], s); first[s]
+    = s when nobody jumps, as at cuts 0 and n.  All cuts are bisected at
+    once through ``c.at``, O(n log n) for a separable or a tabular cost.
+    Rows nondecreasing make first nondecreasing in s.
     """
-    if not 0 < start < c.n:
-        return _NO_MOVERS, _NO_COSTS
-    cost = c.at(slice(0, start), start)
-    # the same banded comparison _target_indices applies, with gain = 1.0
-    movers = (1.0 > cost + KNIFE_EDGE_ATOL).nonzero()[0]
-    return movers, cost[movers]
+    n = c.n
+    cut = np.arange(1, n)
+    lo = np.zeros(n - 1, dtype=np.intp)
+    hi = cut.copy()  # c(s, s) = +0.0 jumps, so the test holds at hi throughout
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        jumps = 1.0 > c.at(mid, cut) + KNIFE_EDGE_ATOL
+        hi = np.where(jumps, mid, hi)
+        lo = np.where(jumps, lo, mid + 1)
+    return [0, *hi.tolist(), n]
 
 
-_NO_MOVERS = np.zeros(0, dtype=np.intp)
+def _fast_threshold_targets(
+    c: CostFunction, first: list[int], start: int
+) -> tuple[int, np.ndarray]:
+    """Who jumps to a noiseless suffix classifier under monotone costs, at what cost.
+
+    Returns ``first[start]`` from :func:`_first_movers` and the costs
+    ``c.at(slice(first[start], start), start)`` of the contestants in
+    [first[start], start); each of them jumps to ``start``, the cheapest
+    accepted point and the smallest index, and everyone else stays.  This
+    matches the generic path when no cost lies within KNIFE_EDGE_ATOL of
+    the unit gain, where it would warn (:func:`_fast_path_ok`).
+    """
+    low = first[start]
+    if low == start:
+        return low, _NO_COSTS
+    return low, c.at(slice(low, start), start)
+
+
 _NO_COSTS = np.zeros(0)
 
 # cuts whose cheap curves are built together; one block holds n x 64 floats
@@ -205,12 +234,16 @@ def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:
     cut's groups are reduced through it; each point is bit for bit what
     :func:`subpop_accuracies` gives at that cut, up to the noisy scan's
     rounding stated below.  Without noise, a cost that passes
-    :func:`_fast_path_ok` (on its matrix if tabular, on ``a`` if separable)
-    takes the fast path: :func:`_fast_threshold_targets` names the cut's
-    movers and their costs, and :func:`_noiseless_sweep` writes them into
-    the group's reused x and k buffers, with no target array or report per
-    cut.  The rest take the generic best response on the cut's suffix
-    classifier.
+    :func:`_fast_path_ok` takes the fast path: a tabular one needs
+    nondecreasing rows and upper-triangle columns nonincreasing going down,
+    which a separable one has by construction, and neither may hold an
+    entry within KNIFE_EDGE_ATOL of the unit gain.  Then the movers of cut
+    s are one index range [first[s], s), ``first`` bisected once per group
+    (:func:`_first_movers`); :func:`_fast_threshold_targets` gives the
+    cut's first mover and the range's costs, and :func:`_noiseless_sweep`
+    rewrites only the changed ranges of the group's reused x and k buffers,
+    with no target array or report per cut.  The rest take the generic
+    best response on the cut's suffix classifier.
 
     With noise, cut s faces q = rows @ p, p the indicator of indices >= s,
     and :func:`_noisy_sweep` reads every cut's curve off one cumulative sum
@@ -303,20 +336,29 @@ def _noiseless_sweep(
 ) -> tuple[SweepPoint, ...]:
     """The noiseless branch of :func:`threshold_sweep`.
 
-    At cut s everyone at or above s is accepted and stays, so a fast-path
-    group's x is w + v from s up and v below it, except at the movers, who
-    are accepted too; its k is zero but at the movers.  Both are written
-    into the group's buffers, x in full and k at the movers of this cut and
-    the last one, and reduced as :class:`~stratclass.game._Payoffs` does:
-    the same floats, since 1 * w is exact and 0 * w + v is v.
+    At cut s everyone at or above s is accepted and stays, and a fast-path
+    group's movers are the range [first[s], s) (:func:`_first_movers`), who
+    are accepted too; so its x is v below first[s] and w + v from there up,
+    and its k is c(i, s) on the range and zero elsewhere.  As first only
+    rises with s, a cut rewrites x on [first[s - 1], first[s]) and k on
+    [first[s - 1], s), and both are reduced as
+    :class:`~stratclass.game._Payoffs` does, each a dot over the full
+    length-n vector: the same floats, since 1 * w is exact and 0 * w + v is
+    v.  The accuracy is reused while first, and so x, stays put, and an
+    empty range spends +0.0, as in :meth:`~stratclass.game._Payoffs.group`.
     """
     n = scenario.space.n
     fns = scenario.cost_fns
-    fast_ok = [_fast_path_ok(fn) for fn in fns]
-    v = payoffs.v
+    firsts = [_first_movers(fn) if _fast_path_ok(fn) else None for fn in fns]
+    pi, pih, v = payoffs.pi, payoffs.pih, payoffs.v
     wv = payoffs.w + v
     ks = [np.zeros(n) for _ in fns]
-    movers = [_NO_MOVERS for _ in fns]
+    lows = [0 for _ in fns]  # each fast group's first mover at the last cut
+    accs = [0.0 for _ in fns]
+    for g, first in enumerate(firsts):
+        if first is not None:
+            payoffs.x[g][:] = wv  # cut 0 accepts everyone
+            accs[g] = _accuracy(pi, payoffs.x[g])
     probs = np.ones(n)  # the cut's suffix classifier, for the generic path
     out = []
     for start in range(n + 1):
@@ -324,18 +366,19 @@ def _noiseless_sweep(
             probs[start - 1] = 0.0
         us, costs = [], []
         for g, fn in enumerate(fns):
-            if fast_ok[g]:
-                x, k = payoffs.x[g], ks[g]
-                k[movers[g]] = 0.0
-                moved, paid = _fast_threshold_targets(fn, start)
-                x[:start] = v[:start]
-                x[start:] = wv[start:]
-                x[moved] = wv[moved]
-                k[moved] = paid
-                movers[g] = moved
-                u, c = payoffs.reduce(x, k)
-            else:
+            if firsts[g] is None:
                 u, c = payoffs.group(g, probs, _target_indices(probs, fn))
+            else:
+                x, k, last = payoffs.x[g], ks[g], lows[g]
+                low, paid = _fast_threshold_targets(fn, firsts[g], start)
+                if low != last:
+                    x[last:low] = v[last:low]
+                    accs[g] = _accuracy(pi, x)
+                    k[last:low] = 0.0
+                    lows[g] = low
+                k[low:start] = paid
+                u = accs[g]
+                c = _strategy_cost(pih, k) if paid.size else 0.0
             us.append(u)
             costs.append(c)
         out.append(_cut_point(payoffs, taus, start, us, costs))

@@ -714,6 +714,30 @@ class TestInstanceSweep:
         assert err.startswith("error: line 2: gaussian_instance: n: 20001 points need")
 
 
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize(
+    "name, param, text, err",
+    [
+        ("cut", "sigma", "-0.1:1:8", "error: sigma values must be nonnegative, got -0.1\n"),
+        ("s2det", "sigma", "-0.1:1:8", "error: sigma values must be nonnegative, got -0.1\n"),
+        ("grouped", "s_A", "-0.5:0.5:2", "error: s_A values must lie in [0, 1], got -0.5\n"),
+        ("grouped", "s_A", "0.25:1.5:6", "error: s_A values must lie in [0, 1], got 1.25\n"),
+    ],
+    ids=["instance-sigma", "discrete-sigma", "s_A-first-row", "s_A-fifth-row"],
+)
+def test_bad_sweep_value_refused_before_any_row(
+    files, instance_files, capsys, monkeypatch, threads, name, param, text, err
+):
+    # the --range value is named, not a document field, and no row runs, so
+    # a threaded sweep writes the same one line as a serial one
+    path = instance_files.get(name) or files[name]
+    rows = []
+    monkeypatch.setattr(cli, "_sweep_row", lambda *args: rows.append(args))
+    rc, out, got = run(capsys, "sweep", path, "--param", param, "--range", text, "--threads", threads)
+    assert (rc, out, got) == (2, "", err)
+    assert rows == []
+
 def test_only_the_lp_imports_scipy_optimize(files, instance_files, capsys, tmp_path):
     cut = instance_files["cut"]
     no_lp = [

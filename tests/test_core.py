@@ -49,9 +49,10 @@ from stratclass import (
     utility,
 )
 from stratclass import model
-from stratclass.game import _Payoffs, _target_indices
+from stratclass.game import _accuracy, _Payoffs, _strategy_cost, _target_indices
 from stratclass.model import ValidationError
-from stratclass.noise import _fast_path_ok, _fast_threshold_targets
+from stratclass import noise
+from stratclass.noise import _fast_path_ok, _fast_threshold_targets, _first_movers
 from stratclass.scenario import noise_rebuilder
 from stratclass.sampling import (
     random_kernel,
@@ -165,11 +166,13 @@ class TestFastThresholdPath:
                 costs = c.costs
         # the condition threshold_sweep checks before using the fast path
         assume(_fast_path_ok(c))
+        first = _first_movers(c)
         for start in range(n + 1):
             probs = np.zeros(n)
             probs[start:] = 1.0
-            movers, paid = _fast_threshold_targets(c, start)
-            assert np.all(movers < start)
+            low, paid = _fast_threshold_targets(c, first, start)
+            assert 0 <= low <= start
+            movers = np.arange(low, start)
             assert paid.tobytes() == np.array([costs[i, start] for i in movers]).tobytes()
             fast = np.arange(n)
             fast[movers] = start
@@ -445,7 +448,8 @@ def test_payoffs_where_nobody_moves_match_the_gather(seed, n, separable):
     q = _values(rng, n)
     stay = np.arange(n)
     got = payoffs.group(0, q, stay)
-    want = payoffs.reduce(q[stay] * payoffs.w + payoffs.v, fn.at(stay, stay))
+    x = q[stay] * payoffs.w + payoffs.v
+    want = _accuracy(payoffs.pi, x), _strategy_cost(payoffs.pih, fn.at(stay, stay))
     assert repr(got) == repr(want)
     assert repr(got[1]) == "0.0"
 
@@ -456,6 +460,96 @@ def test_noiseless_sweep_matches_per_cut_payoffs_at_scale(unfair_disc, rebuild_1
     assert rebuild_1601.scenario.kernel is None and rebuild_1601.scenario.space.n == 1601
     _assert_sweep_is_per_cut_payoffs(rebuild_1601.scenario)
 
+
+
+# ---------------------------------------- the first-mover table of the fast path
+
+
+def _jumps(c: CostFunction, i: int, s: int) -> bool:
+    """The jump test of contestant i to cut s, one entry at a time."""
+    return bool(1.0 > c.at(np.array([i]), np.array([s]))[0] + KNIFE_EDGE_ATOL)
+
+
+def _assert_first_movers(c: CostFunction) -> None:
+    n = c.n
+    first = _first_movers(c)
+    assert len(first) == n + 1 and first[0] == 0 and first[n] == n
+    for s in range(1, n):
+        brute = next((i for i in range(s) if _jumps(c, i, s)), s)
+        assert first[s] == brute, s
+        assert all(_jumps(c, i, s) for i in range(first[s], s)), s
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24))
+@settings(max_examples=200, deadline=None)
+def test_first_movers_of_a_near_unit_rise(seed, n):
+    # a separable cost is monotone down every column, knife edges or not
+    rng = np.random.default_rng(seed)
+    _assert_first_movers(shift_cost(random_space(rng, n), _near_unit_rise(rng, n)))
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 24),
+    kind=st.sampled_from(["shift-table", "simple"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_first_movers_of_a_tabular_cost_on_the_fast_path(seed, n, kind):
+    rng = np.random.default_rng(seed)
+    c = _sweep_cost(rng, random_space(rng, n), kind)
+    assume(_fast_path_ok(c))
+    _assert_first_movers(c)
+
+
+def test_a_column_rising_going_down_takes_the_generic_path():
+    # rows nondecreasing, but column 2 rises from 0.6 to 1.5 going down: at
+    # cut 2 contestant 0 jumps and contestant 1 does not, so the movers are
+    # no range ending at the cut
+    space = FeatureSpace([0.0, 1.0, 2.0, 3.0])
+    costs = np.array(
+        [
+            [0.0, 0.5, 0.6, 0.7],
+            [0.0, 0.0, 1.5, 1.6],
+            [0.0, 0.0, 0.0, 0.2],
+            [0.0, 0.0, 0.0, 0.0],
+        ]
+    )
+    c = CostFunction(space, costs)
+    assert np.all(np.diff(costs, axis=1) >= 0.0)
+    assert not _fast_path_ok(c)
+    probs = np.array([0.0, 0.0, 1.0, 1.0])
+    assert _quiet_targets(probs, costs).tolist() == [2, 1, 2, 3]
+    pop = Population(space, np.full(4, 0.25), np.array([0.1, 0.4, 0.6, 0.9]))
+    _assert_sweep_is_per_cut_payoffs(SubpopulationScenario(pop, np.ones(1), (c,)))
+
+
+def test_noiseless_fast_path_answers_each_group_once_per_cut(monkeypatch):
+    # the benchmark's trace counts noise._fast_threshold_targets calls for
+    # noise.fast_path_ratio: one per fast group per cut, and no generic call
+    rng = np.random.default_rng(5)
+    n = 30
+    space = FeatureSpace(np.arange(n, dtype=float))
+    separable = shift_cost(space, np.arange(n) * 0.3)
+    fns = (separable, CostFunction(space, shift_cost(space, np.arange(n) * 0.7).costs))
+    assert all(_fast_path_ok(fn) for fn in fns)
+    scen = SubpopulationScenario(_sweep_population(rng, space), np.array([0.4, 0.6]), fns)
+    calls = {"fast": [], "generic": 0}
+    fast, generic = noise._fast_threshold_targets, noise._target_indices
+
+    def counted_fast(c, first, start):
+        calls["fast"].append((fns.index(c), start))
+        return fast(c, first, start)
+
+    def counted_generic(*args, **kwargs):
+        calls["generic"] += 1
+        return generic(*args, **kwargs)
+
+    monkeypatch.setattr(noise, "_fast_threshold_targets", counted_fast)
+    monkeypatch.setattr(noise, "_target_indices", counted_generic)
+    points = threshold_sweep(scen)
+    assert len(points) == n + 1
+    assert calls["fast"] == [(g, s) for s in range(n + 1) for g in range(2)]
+    assert calls["generic"] == 0
 
 _SHIFT_KINDS = {
     "shift": "kind: shift\n  a: [0.0, 0.5, 1.5]",

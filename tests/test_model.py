@@ -283,6 +283,12 @@ class TestNoiseKernel:
         k = NoiseKernel.identity(space)
         assert np.array_equal(k.rows, np.eye(3))
 
+    def test_identity_refused_beyond_the_dense_limit(self, monkeypatch):
+        # one byte below a 3 x 3 float64 matrix: refused before np.eye builds it
+        monkeypatch.setattr(model, "DENSE_BYTES_LIMIT", 8 * 3 * 3 - 1)
+        with pytest.raises(ValidationError, match=r"^n: 3 points need .* GB"):
+            NoiseKernel.identity(FeatureSpace([0.0, 1.0, 2.0]))
+
     def test_gaussian_zero_sigma_is_no_kernel(self):
         space = FeatureSpace([0.0, 1.0, 2.0])
         assert NoiseKernel.gaussian(space, 0.0) is None
