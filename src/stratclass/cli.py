@@ -11,10 +11,10 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
   apply) once every row is done: the whole sweep, or nothing when a row
   fails.  A ``sigma`` or ``s_A`` value outside its domain is refused before
-  any row runs.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at most
-  as many threads as the process may use CPUs.  A sigma sweep runs at most
-  as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``, and
-  ``--range`` is refused above 2**20 steps, whose rows fill that budget.
+  any row runs.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at
+  most as many threads as the process may use CPUs.  A sigma sweep runs at
+  most as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``,
+  and ``--range`` is refused above 2**20 steps, whose rows fill that budget.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` overrides its tolerances.
 
