@@ -21,7 +21,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .model import (
     PROB_ATOL,
@@ -33,6 +32,7 @@ from .model import (
     ValidationError,
     _cell_edges,
     _require_dense_fits,
+    ndtr,
     shift_cost,
 )
 

@@ -414,13 +414,15 @@ class _Payoffs:
     v = 1 - h, and its spend is (pi h) . k with k[i] = c_g(i, t_i), for
     targets t and acceptance q.  Each is one ``np.dot`` over a vector of
     length n, in :func:`_accuracy` and :func:`_strategy_cost`; ``x`` holds
-    one reused buffer per group.  Where nobody moves, :meth:`group` reads q
-    in place and reports a spend of exactly +0.0, which is what the dot over
-    the diagonal costs gives: every c_g(i, i) is +0.0 and pi h >= 0.  The
-    noiseless threshold sweep writes x and k itself and takes the same dots.
+    one reused buffer per group, and ``us`` and ``ks`` hold the groups'
+    payoffs that :meth:`totals` weighs, one entry per group.  Where nobody
+    moves, :meth:`group` reads q in place and reports a spend of exactly
+    +0.0, which is what the dot over the diagonal costs gives: every
+    c_g(i, i) is +0.0 and pi h >= 0.  The noiseless threshold sweep writes
+    x and k itself and takes the same dots.
     """
 
-    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "x")
+    __slots__ = ("pi", "w", "v", "pih", "shares", "labels", "fns", "stay", "x", "us", "ks")
 
     def __init__(self, scenario: SubpopulationScenario):
         pop = scenario.pop
@@ -433,6 +435,8 @@ class _Payoffs:
         self.fns = scenario.cost_fns
         self.stay = np.arange(pop.space.n)
         self.x = [np.empty(pop.space.n) for _ in self.fns]
+        self.us = np.empty(len(self.fns))
+        self.ks = np.empty(len(self.fns))
 
     def group(self, g: int, q: np.ndarray, target: np.ndarray) -> tuple[float, float]:
         """Group g's accuracy and spend under ``target``, facing ``q``."""
@@ -447,12 +451,12 @@ class _Payoffs:
 
     def totals(self, us: list[float], ks: list[float]) -> tuple[float, float, float]:
         """Share-weighted utility and spend, and the gap, of the groups' payoffs."""
-        us_arr = np.array(us)
-        ks_arr = np.array(ks)
+        self.us[:] = us
+        self.ks[:] = ks
         return (
-            float(np.dot(self.shares, us_arr)),
-            float(np.dot(self.shares, ks_arr)),
-            float(us_arr.max() - us_arr.min()),
+            float(np.dot(self.shares, self.us)),
+            float(np.dot(self.shares, self.ks)),
+            max(us) - min(us),
         )
 
     def groups(self, q: np.ndarray, targets: list[np.ndarray]) -> tuple[list[float], list[float]]:

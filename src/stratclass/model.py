@@ -11,6 +11,10 @@ channel.
 
 All types are frozen dataclasses holding read-only numpy arrays.  They are
 safe to share freely across threads.
+
+The one function taken from ``scipy.special``, the normal cdf ``ndtr``,
+loads on the first Gaussian grid or kernel built (see :func:`ndtr`), so a
+process that builds neither never imports ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.special import ndtr
 
 __all__ = [
     "ValidationError",
@@ -52,9 +55,9 @@ LIPSCHITZ_ATOL = 1e-9
 # kernel at n = 20001 (3.2 GB) does not.
 DENSE_BYTES_LIMIT = 2 * 2**30
 # Bytes the temporaries of one block of rows may take at once, in
-# NoiseKernel.gaussian (the cdf arguments and their int64 table offsets) and
-# in the separable best response.  A block stays in a core's cache while it
-# is worked on, and no temporary grows with n squared.
+# NoiseKernel.gaussian (the cdf arguments, their int64 table offsets and the
+# differences) and in the separable best response.  A block stays in a core's
+# cache while it is worked on, and no temporary grows with n squared.
 _BLOCK_BYTES = 2**20
 # NoiseKernel.gaussian tabulates the normal cdf at the floats this many ulps
 # (bit patterns) either side of each diagonal's reference argument.
@@ -114,6 +117,18 @@ def _block_rows(width: int, cell_bytes: int) -> int:
 def _dense_fit_count(n: int) -> int:
     """How many n x n float64 arrays DENSE_BYTES_LIMIT holds at once, at least 1."""
     return max(1, DENSE_BYTES_LIMIT // (8 * n * n))
+
+
+def ndtr(x, *args, **kwargs):
+    """``scipy.special.ndtr``, imported on the first call.
+
+    ``analytic`` imports this wrapper, and :meth:`NoiseKernel.gaussian`
+    looks it up at each call, so a wrapper set on the module sees every cdf
+    call of a kernel build.
+    """
+    from scipy.special import ndtr as cdf
+
+    return cdf(x, *args, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -395,25 +410,29 @@ def is_lipschitz(f: Classifier, c: CostFunction) -> bool:
     return bool(np.all(p[None, :] - p[:, None] <= c.costs + LIPSCHITZ_ATOL))
 
 
-def _normalise_rows(r: np.ndarray, first: int = 0) -> None:
-    """Check kernel rows and rescale each to close exactly, in place.
+def _normalise_rows(r: np.ndarray, first: int = 0, out: np.ndarray | None = None) -> None:
+    """Check kernel rows and rescale each to close exactly, into ``out`` (default ``r``).
 
     Entries must be finite and at least ``-PROB_ATOL`` (dust below zero is
     clipped), and each row must sum to 1 within ``PROB_ATOL``.  ``first`` is
     the kernel index of ``r``'s first row, so a block names its global row.
     """
-    # NaN carries through both reductions, so one pass each finds every bad entry
-    least, most = r.min(), r.max()
-    if not (np.isfinite(least) and np.isfinite(most)):
+    # NaN carries through the minimum; past a finite one, a row sum is inf
+    # for an inf entry or an overflow, and only then is the maximum read
+    least = r.min()
+    if not np.isfinite(least):
+        raise ValidationError("rows: entries must be finite")
+    if least < 0:
+        np.clip(r, 0.0, None, out=r)
+    sums = r.sum(axis=1)
+    if not np.isfinite(sums).all() and not np.isfinite(r.max()):
         raise ValidationError("rows: entries must be finite")
     if least < -PROB_ATOL:
         raise ValidationError("rows: entries must be nonnegative")
-    np.clip(r, 0.0, None, out=r)
-    sums = r.sum(axis=1)
     if np.any(np.abs(sums - 1.0) > PROB_ATOL):
         i = int(np.argmax(np.abs(sums - 1.0)))
         raise ValidationError(f"rows: row {first + i} sums to {sums[i]!r}, expected 1")
-    r /= sums[:, None]
+    np.divide(r, sums[:, None], out=r if out is None else out)
 
 
 class _Normalised(NamedTuple):
@@ -442,6 +461,7 @@ class NoiseKernel:
             n = self.space.n
             if r.shape != (n, n):
                 raise ValidationError(f"rows: expected a {n}x{n} matrix, got {r.shape}")
+            r += 0.0  # a given -0.0 is kept as +0.0; the builder's rows hold none
             _normalise_rows(r)
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)
@@ -475,12 +495,13 @@ class NoiseKernel:
         on a grid far from uniform) call ndtr.  So every entry is ndtr of its
         own float, bit for bit, on any grid; the table only saves calls.
 
-        The rows are written straight into the one n x n array the kernel
-        keeps, a block of rows at a time (the argument and offset blocks
-        share ``_BLOCK_BYTES``), and each block is checked and
-        rescaled as the constructor would while it is still in cache.  So a
-        build peaks at that array plus the blocks and the table, and the
-        constructor keeps it without a copy.
+        The rows are built a block at a time, differenced into a reused
+        scratch block (the argument, offset and difference blocks share
+        ``_BLOCK_BYTES``), and checked and rescaled as the constructor would
+        while still in cache; the rescaling divide is the one write into the
+        n x n array the kernel keeps.  So a build peaks at that array plus
+        the blocks and the table, and the constructor keeps it without a
+        copy.
         """
         if sigma < 0:
             raise ValidationError("sigma: must be nonnegative")
@@ -502,26 +523,27 @@ class NoiseKernel:
         starts = sliding_window_view(start, n + 1)[::-1]
         bases = sliding_window_view(np.arange(0, table.size, 2 * w + 1), n + 1)[::-1]
         rows = np.empty((n, n))
-        height = min(n, _block_rows(n + 1, 16))
+        height = min(n, _block_rows(n + 1, 24))
         zs = np.empty((height, n + 1))
         offsets = np.empty((height, n + 1), dtype=np.int64)
+        diffs = np.empty((height, n))
         for lo in range(0, n, height):
             hi = min(lo + height, n)
-            z, o = zs[: hi - lo], offsets[: hi - lo]
+            z, o, d = zs[: hi - lo], offsets[: hi - lo], diffs[: hi - lo]
             with np.errstate(over="ignore"):
                 np.subtract(edges, points[lo:hi, None], out=z)
                 z /= sigma
             np.subtract(z.view(np.int64), starts[lo:hi], out=o)
-            miss = o.view(np.uint64) > 2 * w
-            missed = ndtr(z[miss])
+            miss = np.flatnonzero(o.view(np.uint64) > 2 * w)
+            missed = ndtr(z.ravel()[miss])
             o += bases[lo:hi]
             # "clip", not "raise": the latter buffers a copy of its output.
             # ndtr(-inf) and ndtr(inf) are exactly 0 and 1, so the open outer
             # cells close exactly
             np.take(table, o, out=z, mode="clip")
-            z[miss] = missed
-            np.subtract(z[:, 1:], z[:, :-1], out=rows[lo:hi])
-            _normalise_rows(rows[lo:hi], lo)
+            z.ravel()[miss] = missed
+            np.subtract(z[:, 1:], z[:, :-1], out=d)
+            _normalise_rows(d, lo, out=rows[lo:hi])
         return cls(space, _Normalised(rows))
 
 

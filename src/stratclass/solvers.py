@@ -10,7 +10,9 @@ Four solvers, in increasing generality:
 - ``solve_efficiency_lp``: exact linear program for the best cost-covering
   (hence best overall) randomised classifier.  Only it needs
   ``scipy.optimize`` and ``scipy.sparse``; they load on the first LP solve,
-  so a process that solves no LP never imports them.
+  so a process that solves no LP never imports them.  ``scipy.optimize``
+  brings ``scipy.special`` with it, which otherwise loads only with
+  ``model.ndtr``, on the first Gaussian grid or kernel.
 - ``grid_oracle``: brute force over a discretised classifier space, used to
   cross-check the others at desk scale.
 """

@@ -738,53 +738,92 @@ def test_bad_sweep_value_refused_before_any_row(
     assert (rc, out, got) == (2, "", err)
     assert rows == []
 
-def test_only_the_lp_imports_scipy_optimize(files, instance_files, capsys, tmp_path):
+def _fresh_env() -> dict:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(stratclass.__file__))))
+
+
+def test_scipy_modules_load_only_where_needed(files, instance_files, capsys, tmp_path):
     cut = instance_files["cut"]
-    no_lp = [
+    noiseless = [
+        ["evaluate", files["grouped"]],
+        ["solve", files["s2"], "--objective", "utility", "--mode", "deterministic"],
+        ["sweep", files["grouped"], "--param", "tau", "--range", "-1:1:3"],
+        ["reproduce", "ex-noise"],
+    ]
+    gaussian = [
         ["solve", cut, "--objective", "utility", "--mode", "deterministic"],
         ["evaluate", cut],
         ["sweep", cut, "--param", "tau", "--range", "-0.08:0.08:3"],
         ["reproduce", "thm4"],
     ]
     lp = ["solve", files["s2"], "--objective", "efficiency", "--mode", "randomized"]
-    # One fresh interpreter runs the commands and records, in the file named
-    # by argv[1], the exit codes and which LP modules were loaded after the
-    # import, after the commands that solve no LP and after the LP solve,
-    # whose stdout is the process's own.  (A module-level string here would
-    # be read as a YAML document by test_certified_sweep.)
+    # One fresh interpreter imports the package, then the cli, then runs the
+    # commands on explicit noiseless grids, those that build a Gaussian grid
+    # or kernel, and the LP solve, whose stdout is the process's own.  It
+    # records, in the file named by argv[1], the exit codes and which of the
+    # deferred scipy modules were loaded after each step.  (A module-level
+    # string here would be read as a YAML document by test_certified_sweep.)
     script = """\
 import contextlib, io, json, sys
-from stratclass import cli
 
-report_path, no_lp, lp = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+report_path, phases, lp = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
 
 def loaded():
-    return sorted(m for m in ("scipy.optimize", "scipy.sparse") if m in sys.modules)
+    deferred = ("scipy.optimize", "scipy.sparse", "scipy.special")
+    return sorted(m for m in deferred if m in sys.modules)
 
-report = {"codes": [], "after_import": loaded()}
-for argv in no_lp:
-    with contextlib.redirect_stdout(io.StringIO()):
-        report["codes"].append(cli.main(argv))
-report["after_no_lp"] = loaded()
+import stratclass
+report = {"codes": [], "after_package": loaded()}
+from stratclass import cli
+report["after_cli"] = loaded()
+for name, commands in phases:
+    for argv in commands:
+        with contextlib.redirect_stdout(io.StringIO()):
+            report["codes"].append(cli.main(argv))
+    report["after_" + name] = loaded()
 report["codes"].append(cli.main(lp))
 report["after_lp"] = loaded()
 with open(report_path, "w") as f:
     json.dump(report, f)
 """
     report_path = tmp_path / "report.json"
-    env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(stratclass.__file__))))
+    phases = [["noiseless", noiseless], ["gaussian", gaussian]]
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(report_path), json.dumps(no_lp), json.dumps(lp)],
-        env=env,
+        [sys.executable, "-c", script, str(report_path), json.dumps(phases), json.dumps(lp)],
+        env=_fresh_env(),
         capture_output=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     report = json.loads(report_path.read_text())
-    assert report["codes"] == [0] * 5
-    assert report["after_import"] == []
-    assert report["after_no_lp"] == []
-    assert report["after_lp"] == ["scipy.optimize", "scipy.sparse"]
+    assert report["codes"] == [0] * 9
+    assert report["after_package"] == []
+    assert report["after_cli"] == []
+    assert report["after_noiseless"] == []
+    assert report["after_gaussian"] == ["scipy.special"]
+    assert report["after_lp"] == ["scipy.optimize", "scipy.sparse", "scipy.special"]
     rc, out, _ = run(capsys, *lp)
+    assert rc == 0
+    assert proc.stdout == out.encode()
+
+
+def test_first_cdf_import_inside_pool_threads(files, capsys):
+    # A fresh process has no scipy.special, so the sigma rows in flight on
+    # the pool's threads may import it at once; their rows must not change.
+    argv = ["sweep", files["grouped"], "--param", "sigma", "--range", "0:1:8"]
+    script = """\
+import sys
+from stratclass import cli
+sys.exit(cli.main(sys.argv[1:]) if "scipy.special" not in sys.modules else 3)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv, "--threads", "2"],
+        env=_fresh_env(),
+        capture_output=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr.decode()
+    rc, out, _ = run(capsys, *argv, "--threads", "1")
     assert rc == 0
     assert proc.stdout == out.encode()

@@ -750,9 +750,14 @@ class TestThresholdObjective:
 
 
 # (file, module) pairs that may be imported inside a function: only the
-# efficiency LP needs scipy.optimize and scipy.sparse, so they load on its
-# first solve and a command that solves no LP never pays for them
-DEFERRED_IMPORTS = {("solvers.py", "scipy.optimize"), ("solvers.py", "scipy.sparse")}
+# efficiency LP needs scipy.optimize and scipy.sparse, and only a Gaussian
+# grid or kernel needs scipy.special, so each loads on its first use and a
+# command that needs none of them never pays for them
+DEFERRED_IMPORTS = {
+    ("solvers.py", "scipy.optimize"),
+    ("solvers.py", "scipy.sparse"),
+    ("model.py", "scipy.special"),
+}
 
 
 def test_no_imports_inside_functions():
