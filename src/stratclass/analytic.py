@@ -58,6 +58,10 @@ _GRID_HALFWIDTH_MULT = 8.0
 # Points of the coarse sweep that checks the optimum's bracket is unimodal.
 _UNIMODALITY_SWEEP_POINTS = 512
 
+# The range of t, d, sigma_a and sigma_b; see GaussianInstance.
+_SCALE_MIN = 2.0**-511
+_SCALE_MAX = 2.0**511
+
 
 class RegimeWarning(UserWarning):
     """A closed form was evaluated outside the regime that justifies it."""
@@ -77,6 +81,13 @@ class GaussianInstance:
     sigma_a, sigma_b: manipulation cost scales of the two groups;
     s_a, s_b: population shares of the two groups;
     sigma: observation noise level, 0 for the noiseless channel.
+
+    Each of t, d, sigma_a and sigma_b lies in [2**-511, 2**511], so every
+    square the closed forms take of them (d**2, t**2, sigma**2 + t**2,
+    where sigma <= d / 8, and the cost peaks' half gap squared) is a finite
+    float, and t**2 a normal one.  The grid then spans at most
+    2 sqrt(2) d, so each group's cost slope x / (sqrt(2 pi) sigma_S) stays
+    finite too.
     """
 
     t: float
@@ -91,8 +102,14 @@ class GaussianInstance:
         if self.s_b is None:
             object.__setattr__(self, "s_b", 1.0 - self.s_a)
         for name in ("t", "d", "sigma_a", "sigma_b"):
-            if not getattr(self, name) > 0:
+            value = getattr(self, name)
+            if not value > 0:
                 raise ValidationError(f"{name}: must be positive")
+            if not _SCALE_MIN <= value <= _SCALE_MAX:
+                raise ValidationError(
+                    f"{name}: must lie in [{_SCALE_MIN:.6g}, {_SCALE_MAX:.6g}], "
+                    f"where the closed forms' squares are finite; got {value!r}"
+                )
         if not (0.0 <= self.s_a <= 1.0 and 0.0 <= self.s_b <= 1.0):
             raise ValidationError("shares must lie in [0, 1]")
         if abs(self.s_a + self.s_b - 1.0) > PROB_ATOL:

@@ -16,7 +16,8 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   most as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``,
   and ``--range`` is refused above 2**20 steps, whose rows fill that budget.
 * ``reproduce`` runs one of the built-in verification targets and maps
-  check failures to exit code 1; ``--tol`` overrides its tolerances.
+  check failures to exit code 1; ``--tol`` (finite, nonnegative) overrides
+  its tolerances.
 
 Exit codes: 0 success, 1 failed reproduce checks, 2 usage, parse or
 validation errors.  All numbers are printed with 12 significant digits and
@@ -45,7 +46,7 @@ from .model import (
     _dense_fit_count,
 )
 from .noise import solve_deterministic_noisy, subpop_accuracies
-from .reproduce import TARGETS, ReproduceResult, _fmt, run_reproduce
+from .reproduce import TARGETS, Check, ReproduceResult, _fmt, run_reproduce
 from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuilder
 from .solvers import solve_efficiency_lp
 
@@ -306,25 +307,14 @@ def _in_order(fn: Callable[[float], list], values: np.ndarray, threads: int) -> 
 
 def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        payload = {
-            "target": result.target,
-            "passed": result.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "expected": c.expected,
-                    "actual": c.actual,
-                    "passed": c.passed,
-                }
-                for c in result.checks
-            ],
-        }
+        checks = [dataclasses.asdict(c) for c in result.checks]
+        payload = {"target": result.target, "passed": result.passed, "checks": checks}
         out.write(json.dumps(payload, indent=2) + "\n")
         return
     if fmt == "csv":
-        _write_csv_row(out, ("name", "expected", "actual", "passed"))
+        _write_csv_row(out, (f.name for f in dataclasses.fields(Check)))
         for c in result.checks:
-            _write_csv_row(out, (c.name, c.expected, c.actual, _cell(c.passed)))
+            _write_csv_row(out, map(_cell, dataclasses.astuple(c)))
         return
     for c in result.checks:
         verdict = "pass" if c.passed else "FAIL"
@@ -335,6 +325,8 @@ def _emit_reproduce(result: ReproduceResult, fmt: str, out: TextIO) -> None:
 
 
 def cmd_reproduce(args: argparse.Namespace, out: TextIO) -> int:
+    if args.tol is not None and not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise CliError(f"--tol needs a finite nonnegative number, got {_fmt(args.tol)}")
     try:
         result = run_reproduce(args.id, tol=args.tol)
     except KeyError as e:

@@ -114,18 +114,12 @@ def noisy_efficiency(
 
 
 @dataclass(frozen=True, eq=False)
-class SweepPoint:
-    """One threshold candidate's payoffs along a sweep."""
+class SweepPoint(SubpopReport):
+    """One threshold candidate along a sweep: its cut's :class:`SubpopReport`, and the cut."""
 
     tau: float
     strict: bool
     start: int  # first accepted grid index (n means all-reject)
-    utility: float
-    cost: float
-    efficiency: float
-    subpop_utilities: tuple[float, ...]
-    subpop_costs: tuple[float, ...]
-    gap: float
 
 
 def _fast_path_ok(c: CostFunction) -> bool:
@@ -209,18 +203,7 @@ def _gamma(k: int) -> float:
 def _cut_point(
     payoffs: _Payoffs, taus: list[float], start: int, us: list[float], ks: list[float]
 ) -> SweepPoint:
-    utility, cost, gap = payoffs.totals(us, ks)
-    return SweepPoint(
-        tau=taus[max(start - 1, 0)],
-        strict=start > 0,
-        start=start,
-        utility=utility,
-        cost=cost,
-        efficiency=utility - cost,
-        subpop_utilities=tuple(us),
-        subpop_costs=tuple(ks),
-        gap=gap,
-    )
+    return SweepPoint(*payoffs.totals(us, ks), taus[max(start - 1, 0)], start > 0, start)
 
 
 def threshold_sweep(scenario: SubpopulationScenario) -> tuple[SweepPoint, ...]:

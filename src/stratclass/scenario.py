@@ -17,6 +17,7 @@ module that reads a scenario document.
 from __future__ import annotations
 
 import dataclasses
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,10 +50,27 @@ __all__ = [
     "save_scenario",
 ]
 
+_MERGE_TAG = "tag:yaml.org,2002:merge"
+
+
 # libyaml's loader builds the same nodes, marks and data about five times
 # faster; PyYAML built without it has only the pure-Python one
-_Loader = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-_MERGE_TAG = "tag:yaml.org,2002:merge"
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    pass
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+# YAML 1.1 reads 1e-3, 1E+3 and 1.0e300 as strings; both classes read them as
+# floats, as YAML 1.2 does, so a string so spelled is dumped quoted
+for _cls in (_Loader, _Dumper):
+    _cls.add_implicit_resolver(
+        "tag:yaml.org,2002:float",
+        re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+        list("-+.0123456789"),
+    )
 
 
 class ScenarioError(ValueError):
@@ -181,7 +199,14 @@ def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFu
             sigma = doc.number(doc.require(sec, path, "sigma"), path + ("sigma",))
             if sigma <= 0:
                 raise doc.fail(path + ("sigma",), "sigma must be positive")
-            return shift_cost(space, space.points / (_ROOT_2PI * sigma))
+            with np.errstate(over="ignore"):
+                a = space.points / (_ROOT_2PI * sigma)
+                if not np.isfinite(a[-1] - a[0]):
+                    raise doc.fail(
+                        path + ("sigma",),
+                        "sigma is too small for this grid: the costs x / (sqrt(2 pi) sigma) overflow",
+                    )
+            return shift_cost(space, a)
     raise doc.fail(path + ("kind",), f"unknown cost kind {kind!r} (tabular, shift, linear)")
 
 
@@ -390,7 +415,7 @@ def load_scenario(path: str | Path) -> LoadedScenario:
 
 def dump_scenario(source: dict) -> str:
     """Serialize a scenario document back to YAML (round-trip safe)."""
-    return yaml.safe_dump(source, sort_keys=True, default_flow_style=None)
+    return yaml.dump(source, Dumper=_Dumper, sort_keys=True, default_flow_style=None)
 
 
 def save_scenario(source: dict, path: str | Path) -> None:

@@ -49,6 +49,33 @@ class TestGaussianInstance:
         with pytest.raises(ValidationError, match="d >= 8 max"):
             GaussianInstance(t=1.0, d=10.0, sigma_a=0.5, sigma_b=1.0, s_a=0.5, sigma=2.0)
 
+    @pytest.mark.parametrize("name", ["t", "d", "sigma_a", "sigma_b"])
+    @pytest.mark.parametrize("value", [math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**511, math.inf)])
+    def test_scale_outside_the_squarable_range_refused(self, name, value):
+        # the range is checked before d >= 8 max(t, sigma)
+        kwargs = dict(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.5)
+        kwargs[name] = value
+        with pytest.raises(ValidationError, match=rf"^{name}: must lie in \[1.49167e-154, 6.7039e\+153\]"):
+            GaussianInstance(**kwargs)
+
+    def test_closed_forms_finite_at_the_scale_bounds(self):
+        lo, hi = 2.0**-511, 2.0**511
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RegimeWarning)
+            for t, d, sigma_a, sigma_b, sigma in [
+                (lo, 8.0 * lo, lo, hi, 0.0),  # the cost peaks' gap at its largest
+                (lo, hi, hi, lo, hi / 8.0),  # d**2 and sigma**2 + t**2 at their largest
+                (hi / 8.0, hi, lo, lo, 1e-320),  # the cost slopes at their steepest
+            ]:
+                inst = GaussianInstance(
+                    t=t, d=d, sigma_a=sigma_a, sigma_b=sigma_b, s_a=0.5, sigma=sigma
+                )
+                assert math.isfinite(noisy_fair_utility(inst))
+                benefit = compare_noise_benefit(inst)
+                assert math.isfinite(benefit.u_noiseless_star)
+                disc = discretize_instance(inst, n=201)
+                assert math.isfinite(disc.tolerance)
+
     def test_regime_boundary_is_inclusive(self):
         k = 0.25
         on = GaussianInstance(

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 import test_cli
 import test_scenario
-from test_core import _recorded, point_fields, reference_targets, report_fields
+from test_core import _recorded, reference_targets, report_fields
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -85,7 +85,7 @@ def _assert_matches_reference(scen: SubpopulationScenario) -> None:
     points = _quiet(threshold_sweep, scen)
     for p, rep in zip(points, reports):
         # certified targets are the matvec's, so every cost is bit-identical
-        assert (p.cost, p.subpop_costs) == (rep.cost, rep.costs)
+        assert (p.cost, p.costs) == (rep.cost, rep.costs)
     for objective in ("utility", "efficiency"):
         start = _first_max(reports, objective)
         solved = _quiet(solve_deterministic_noisy, scen, objective)
@@ -94,7 +94,7 @@ def _assert_matches_reference(scen: SubpopulationScenario) -> None:
         got = dataclasses.astuple(solved.details["report"])
         assert repr(got) == repr(dataclasses.astuple(reports[start]))
         # the winner's own sweep point is exact, not read off the cheap curve
-        assert repr(point_fields(points[start])) == repr(report_fields(reports[start]))
+        assert repr(report_fields(points[start])) == repr(report_fields(reports[start]))
 
 
 def _separable(rng: np.random.Generator, space) -> CostFunction:
@@ -512,7 +512,7 @@ def test_every_cut_takes_the_matvec_once_slack_reaches_the_band(monkeypatch):
     monkeypatch.setattr(noise, "KNIFE_EDGE_ATOL", 0.0)
     points = _quiet(threshold_sweep, scen)
     for p, rep in zip(points, _reference(scen)):
-        assert repr(point_fields(p)) == repr(report_fields(rep))
+        assert repr(report_fields(p)) == repr(report_fields(rep))
 
 
 # ------------------------------------------------------------ kernel build

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import re
@@ -14,6 +16,8 @@ from concurrent.futures import Future
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stratclass
 from stratclass import cli, model
@@ -566,6 +570,33 @@ class TestReproduce:
         assert payload["checks"]
         assert all(c["passed"] for c in payload["checks"])
 
+    def test_json_bytes(self, capsys):
+        rc, out, err = run(capsys, "reproduce", "ex-2pt", "--format", "json")
+        assert (rc, err) == (0, "")
+        checks = [
+            ("accuracy of the half-half classifier", "0.75 (atol 1e-12)", "0.75"),
+            ("strategy spend", "0 (atol 1e-12)", "0"),
+            ("efficiency", "0.75 (atol 1e-12)", "0.75"),
+            ("best deterministic accuracy", "0.5 (atol 1e-12)", "0.5"),
+            ("best covered-classifier efficiency (LP)", "0.75 (atol 1e-12)", "0.75"),
+            ("LP recovers the half-half classifier (max error)", "0 (atol 1e-12)", "0"),
+            ("half-half classifier beats the deterministic optimum", "> 0.5", "0.75"),
+            ("half-half classifier is unstable", "false", "false"),
+            ("best unilateral improvement", "0.25 (atol 1e-12)", "0.25"),
+        ]
+        records = ",\n".join(
+            "    {\n"
+            f'      "name": "{name}",\n'
+            f'      "expected": "{expected}",\n'
+            f'      "actual": "{actual}",\n'
+            '      "passed": true\n'
+            "    }"
+            for name, expected, actual in checks
+        )
+        assert out == (
+            '{\n  "target": "ex-2pt",\n  "passed": true,\n  "checks": [\n' + records + "\n  ]\n}\n"
+        )
+
     def test_csv_format(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "ex-2pt", "--format", "csv")
         assert rc == 0
@@ -596,6 +627,18 @@ class TestReproduce:
         rc, out, _ = run(capsys, "reproduce", "thm4", "--tol", "1e-300")
         assert rc == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("tol, shown", [("nan", "nan"), ("-1", "-1"), ("inf", "inf"), ("-inf", "-inf")])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_tol_must_be_finite_and_nonnegative(self, capsys, tol, shown, fmt):
+        rc, out, err = run(capsys, "reproduce", "ex-2pt", f"--tol={tol}", "--format", fmt)
+        assert (rc, out) == (2, "")
+        assert err == f"error: --tol needs a finite nonnegative number, got {shown}\n"
+
+    def test_tol_zero_still_checks(self, capsys):
+        rc, out, err = run(capsys, "reproduce", "ex-2pt", "--tol", "0")
+        assert (rc, err) == (0, "")
+        assert "(atol 0)" in out
 
     @pytest.mark.parametrize("target", sorted(TARGETS))
     def test_every_target_passes(self, capsys, target):
@@ -713,6 +756,42 @@ class TestInstanceSweep:
         assert out == ""
         assert err.startswith("error: line 2: gaussian_instance: n: 20001 points need")
 
+
+
+# positive floats from the smallest subnormal to the largest, floats inside
+# GaussianInstance's scale range, and its ends with their neighbours outside it
+_SCALES = st.one_of(
+    st.builds(lambda m, e: float(f"{m:.3f}e{e}"), st.floats(1.0, 9.999), st.integers(-323, 308)),
+    st.builds(lambda m, e: float(f"{m:.3f}e{e}"), st.floats(1.0, 9.999), st.integers(-153, 152)),
+    st.sampled_from([2.0**-511, 2.0**511, float.fromhex("0x1.fffffffffffffp-512"), 2.0**511 * (1 + 2**-52)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    t=_SCALES,
+    d=_SCALES,
+    sigma_a=_SCALES,
+    sigma_b=_SCALES,
+    sigma=st.one_of(st.just(0.0), _SCALES),
+)
+def test_instance_scales_exit_0_or_with_one_error_line(tmp_path_factory, t, d, sigma_a, sigma_b, sigma):
+    d = max(d, 8.0 * max(t, sigma))  # d >= 8 max(t, sigma), or inf when that overflows
+    path = tmp_path_factory.getbasetemp() / "scales.yaml"
+    # repr writes 1e-320 and 1e+300, which the loader reads as numbers
+    path.write_text(
+        f"gaussian_instance: {{t: {t!r}, d: {d!r}, sigma_A: {sigma_a!r}, "
+        f"sigma_B: {sigma_b!r}, s_A: 0.5, sigma: {sigma!r}, n: 201}}\n"
+    )
+    out, err = io.StringIO(), io.StringIO()
+    # a numpy RuntimeWarning is an error here (pyproject), so it fails the run
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["evaluate", str(path)])
+    if all(2.0**-511 <= v <= 2.0**511 for v in (t, d, sigma_a, sigma_b)):
+        assert (rc, err.getvalue()) == (0, ""), err.getvalue()
+    else:
+        assert rc == 2 and out.getvalue() == ""
+        assert re.fullmatch(r"error: [^\n]*\n", err.getvalue()), err.getvalue()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

@@ -271,12 +271,8 @@ class TestSeparableBestResponse:
         assert len(warned) == 1 and "move 2 -> 1" in warned[0]
 
 
-def point_fields(p):
-    """A sweep point's payoffs, in the order of :func:`report_fields`."""
-    return (p.utility, p.cost, p.efficiency, p.subpop_utilities, p.subpop_costs, p.gap)
-
-
 def report_fields(r):
+    """The payoffs of a report or of a sweep point, which extends one."""
     return (r.utility, r.cost, r.efficiency, r.utilities, r.costs, r.gap)
 
 
@@ -299,14 +295,14 @@ def test_sweep_matches_tabular_costs(sigma):
         want[start], warned = _recorded(subpop_accuracies, Classifier(scen.space, probs), tabular)
         want_warned += warned
     points, warned = _recorded(threshold_sweep, tabular)
-    assert [repr(point_fields(p)) for p in points] == [
+    assert [repr(report_fields(p)) for p in points] == [
         repr(report_fields(want[s])) for s in range(n + 1)
     ]
     assert warned == want_warned
     # the separable sweep certifies its targets, so its costs are the same bits
     got, _ = _recorded(threshold_sweep, scen)
-    assert [repr((p.cost, p.subpop_costs)) for p in got] == [
-        repr((p.cost, p.subpop_costs)) for p in points
+    assert [repr((p.cost, p.costs)) for p in got] == [
+        repr((p.cost, p.costs)) for p in points
     ]
     solved, _ = _recorded(solve_deterministic_noisy, scen)
     expected, _ = _recorded(solve_deterministic_noisy, tabular)
@@ -399,9 +395,7 @@ def _assert_sweep_is_per_cut_payoffs(scen: SubpopulationScenario) -> None:
         cut[p.start :] = 1.0
         assert clf.probs.tobytes() == cut.tobytes()
         assert (p.tau, p.strict) == (float(space.points[max(p.start - 1, 0)]), p.start > 0)
-        got = (p.utility, p.cost, p.efficiency, p.subpop_utilities, p.subpop_costs, p.gap)
-        want = (rep.utility, rep.cost, rep.efficiency, rep.utilities, rep.costs, rep.gap)
-        assert repr(got) == repr(want), p.start
+        assert repr(report_fields(p)) == repr(report_fields(rep)), p.start
 
 
 _COST_KINDS = ("shift", "shift-table", "simple")

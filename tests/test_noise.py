@@ -200,7 +200,7 @@ class TestThresholdSweep:
                 assert a.utility == b.utility
                 assert a.cost == b.cost
                 assert a.efficiency == b.efficiency
-                assert a.subpop_utilities == b.subpop_utilities
+                assert a.utilities == b.utilities
                 assert a.gap == b.gap
 
     def test_solver_returns_the_sweep_argmax(self, twopoint):

@@ -21,7 +21,7 @@ from stratclass import (
 )
 from stratclass import model
 from stratclass.cli import main
-from stratclass.scenario import noise_rebuilder
+from stratclass.scenario import _Loader, noise_rebuilder
 
 TWOPOINT = """\
 features: [1.0, 2.0]
@@ -615,3 +615,76 @@ class TestRefusedDocuments:
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith("error: n: 3 points need")
+
+
+class TestExponentNumbers:
+    """YAML 1.2's exponent spellings, which YAML 1.1 reads as strings, are numbers."""
+
+    @pytest.mark.parametrize(
+        "spelling, value",
+        [
+            ("1e-3", 1e-3),
+            ("1E+3", 1e3),
+            ("-2e5", -2e5),
+            ("1.0e300", 1e300),
+            ("1.0e+300", 1e300),
+            (".5e3", 500.0),
+            ("1.e3", 1000.0),
+        ],
+    )
+    def test_exponent_spelling_is_a_number(self, spelling, value):
+        loaded = parse_scenario(_edit(LINEAR, "tau: 0.0", f"tau: {spelling}"))
+        assert loaded.threshold == (value, False)
+
+    def test_linear_cost_sigma_in_exponent_form(self, tmp_path, capsys):
+        text = _edit(LINEAR, "sigma: 0.5", "sigma: 5e-1")
+        got = parse_scenario(text).scenario.cost_fns[0]
+        assert np.array_equal(got.costs, parse_scenario(LINEAR).scenario.cost_fns[0].costs)
+        path = tmp_path / "exp.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "text", ["10", "0.5", "-.inf", ".nan", "'1e-3'", "1e3x", "e3", "0x10", "1_000", "1:30"]
+    )
+    def test_other_scalars_resolve_as_before(self, text):
+        got = yaml.load(f"x: {text}", Loader=_Loader)
+        assert repr(got) == repr(yaml.safe_load(f"x: {text}"))
+
+    def test_beyond_the_float_range_is_not_finite(self):
+        with pytest.raises(ScenarioError, match="expected a finite number") as err:
+            parse_scenario(_edit(LINEAR, "tau: 0.0", "tau: 1e400"))
+        assert str(err.value).startswith("line 5: classifier.tau")
+
+    def test_unquoted_exponent_label_is_a_number(self):
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(_edit(GROUPED, "label: cheap", "label: 1e3"))
+        assert str(err.value) == "line 11: subpopulations.1.label: label must be a string"
+
+    def test_quoted_exponent_label_round_trips(self):
+        first = parse_scenario(_edit(GROUPED, "label: cheap", "label: '1e3'"))
+        assert first.scenario.labels == ("dear", "1e3")
+        dumped = dump_scenario(first.source)
+        assert "label: '1e3'" in dumped
+        assert parse_scenario(dumped).scenario.labels == ("dear", "1e3")
+
+
+class TestLinearCostRange:
+    @pytest.mark.parametrize("sigma", ["1.0e-320", "1e-320", "1.0e-310"])
+    def test_overflowing_slopes_refused_at_sigma(self, sigma, tmp_path, capsys):
+        text = _edit(LINEAR, "sigma: 0.5", f"sigma: {sigma}")
+        where = "line 4: cost.sigma: sigma is too small for this grid"
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text)
+        assert str(err.value).startswith(where)
+        path = tmp_path / "steep.yaml"
+        path.write_text(text)
+        assert main(["evaluate", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {where}: the costs x / (sqrt(2 pi) sigma) overflow\n"
+
+    def test_smallest_sigma_whose_slopes_fit(self):
+        # the span 2 / (sqrt(2 pi) sigma) is finite down to about 4.4e-309
+        loaded = parse_scenario(_edit(LINEAR, "sigma: 0.5", "sigma: 1.0e-308"))
+        assert np.isfinite(loaded.scenario.cost_fns[0].costs).all()
