@@ -50,8 +50,6 @@ __all__ = [
     "save_scenario",
 ]
 
-_MERGE_TAG = "tag:yaml.org,2002:merge"
-
 
 # libyaml's loader builds the same nodes, marks and data about five times
 # faster; PyYAML built without it has only the pure-Python one
@@ -71,6 +69,8 @@ for _cls in (_Loader, _Dumper):
         re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
         list("-+.0123456789"),
     )
+
+_MERGE_TAG = "tag:yaml.org,2002:merge"
 
 
 class ScenarioError(ValueError):
@@ -204,7 +204,8 @@ def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFu
                 if not np.isfinite(a[-1] - a[0]):
                     raise doc.fail(
                         path + ("sigma",),
-                        "sigma is too small for this grid: the costs x / (sqrt(2 pi) sigma) overflow",
+                        "sigma is too small for this grid: "
+                        "the costs x / (sqrt(2 pi) sigma) overflow",
                     )
             return shift_cost(space, a)
     raise doc.fail(path + ("kind",), f"unknown cost kind {kind!r} (tabular, shift, linear)")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -758,12 +759,14 @@ class TestInstanceSweep:
 
 
 
-# positive floats from the smallest subnormal to the largest, floats inside
-# GaussianInstance's scale range, and its ends with their neighbours outside it
+# scales from 1e-323 (subnormal) up past the largest float (read as inf),
+# scales inside GaussianInstance's range, and its ends with their outer neighbours
 _SCALES = st.one_of(
     st.builds(lambda m, e: float(f"{m:.3f}e{e}"), st.floats(1.0, 9.999), st.integers(-323, 308)),
     st.builds(lambda m, e: float(f"{m:.3f}e{e}"), st.floats(1.0, 9.999), st.integers(-153, 152)),
-    st.sampled_from([2.0**-511, 2.0**511, float.fromhex("0x1.fffffffffffffp-512"), 2.0**511 * (1 + 2**-52)]),
+    st.sampled_from(
+        [2.0**-511, 2.0**511, math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**511, math.inf)]
+    ),
 )
 
 
