@@ -58,7 +58,7 @@ _GRID_HALFWIDTH_MULT = 8.0
 # Points of the coarse sweep that checks the optimum's bracket is unimodal.
 _UNIMODALITY_SWEEP_POINTS = 512
 
-# The range of t, d, sigma_a and sigma_b; see GaussianInstance.
+# The range of t and d; see GaussianInstance.
 _SCALE_MIN = 2.0**-511
 _SCALE_MAX = 2.0**511
 
@@ -82,12 +82,12 @@ class GaussianInstance:
     s_a, s_b: population shares of the two groups;
     sigma: observation noise level, 0 for the noiseless channel.
 
-    Each of t, d, sigma_a and sigma_b lies in [2**-511, 2**511], so every
-    square the closed forms take of them (d**2, t**2, sigma**2 + t**2,
-    where sigma <= d / 8, and the cost peaks' half gap squared) is a finite
-    float, and t**2 a normal one.  The grid then spans at most
-    2 sqrt(2) d, so each group's cost slope x / (sqrt(2 pi) sigma_S) stays
-    finite too.
+    Each of t and d lies in [2**-511, 2**511], so every square the closed
+    forms take of them (d**2, t**2 and sigma**2 + t**2, where sigma <= d / 8)
+    is a finite float, and t**2 a normal one.  sigma_a and sigma_b need only
+    be positive: :func:`discretize_instance` refuses a cost scale whose
+    costs overflow on its grid, and :func:`compare_noise_benefit` one pair
+    whose peaks lie too far apart to square their half gap.
     """
 
     t: float
@@ -105,7 +105,7 @@ class GaussianInstance:
             value = getattr(self, name)
             if not value > 0:
                 raise ValidationError(f"{name}: must be positive")
-            if not _SCALE_MIN <= value <= _SCALE_MAX:
+            if name in ("t", "d") and not _SCALE_MIN <= value <= _SCALE_MAX:
                 raise ValidationError(
                     f"{name}: must lie in [{_SCALE_MIN:.6g}, {_SCALE_MAX:.6g}], "
                     f"where the closed forms' squares are finite; got {value!r}"
@@ -270,10 +270,15 @@ def compare_noise_benefit(inst: GaussianInstance) -> NoiseBenefit:
     if inst.s_a != inst.s_b:
         raise ValidationError("the closed-form comparison needs equal shares")
     half_gap = _ROOT_2PI * (inst.sigma_a - inst.sigma_b) / 2.0
-    u_noiseless = (
-        inst.t / (_ROOT_2PI * inst.d) * math.exp(-(half_gap**2) / (2.0 * inst.t**2))
-        + 0.5
-    )
+    try:
+        u_noiseless = (
+            inst.t / (_ROOT_2PI * inst.d) * math.exp(-(half_gap**2) / (2.0 * inst.t**2))
+            + 0.5
+        )
+    except OverflowError:  # half_gap**2 beyond the float range
+        raise ValidationError(
+            "sigma_a, sigma_b: the cost peaks lie too far apart to square their half gap"
+        ) from None
     u_noisy = noisy_fair_utility(inst)
     return NoiseBenefit(
         u_noiseless_star=u_noiseless,
@@ -305,6 +310,18 @@ def _symmetric_grid(half_width: float, n: int) -> np.ndarray:
     return np.concatenate((-half[:0:-1], half))
 
 
+def _linear_cost(space: FeatureSpace, sigma: float, name: str) -> CostFunction:
+    """The cost x / (sqrt(2 pi) sigma) on ``space``, refused where it overflows."""
+    with np.errstate(over="ignore"):
+        a = space.points / (_ROOT_2PI * sigma)
+        if not np.isfinite(a[-1] - a[0]):
+            raise ValidationError(
+                f"{name} is too small for this grid: "
+                f"the costs x / (sqrt(2 pi) {name}) overflow"
+            )
+    return shift_cost(space, a)
+
+
 def discretize_instance(inst: GaussianInstance, n: int = 401) -> DiscretizedInstance:
     """Project the continuous instance onto an odd symmetric grid.
 
@@ -328,8 +345,8 @@ def discretize_instance(inst: GaussianInstance, n: int = 401) -> DiscretizedInst
     h = np.clip(points / (2.0 * inst.d) + 0.5, 0.0, 1.0)
     pop = Population(space, pi, h)
 
-    cost_a = shift_cost(space, points / (_ROOT_2PI * inst.sigma_a))
-    cost_b = shift_cost(space, points / (_ROOT_2PI * inst.sigma_b))
+    cost_a = _linear_cost(space, inst.sigma_a, "sigma_a")
+    cost_b = _linear_cost(space, inst.sigma_b, "sigma_b")
     scenario = SubpopulationScenario(
         pop=pop,
         shares=np.array([inst.s_a, inst.s_b]),

@@ -193,7 +193,7 @@ def _generic_targets(q: np.ndarray, costs: np.ndarray) -> tuple[np.ndarray, tupl
     return np.where(best > -np.inf, (cand == best[..., None]).argmax(axis=-1), idx), edge
 
 
-def _downward(curves: np.ndarray, run: np.ndarray | None = None) -> list[_Down]:
+def _downward(curves: np.ndarray) -> list[_Down]:
     """The cost-free half of the separable best response, per curve of a block.
 
     Every separable cost charges +0.0 for a downward move, so this half reads
@@ -216,11 +216,9 @@ def _downward(curves: np.ndarray, run: np.ndarray | None = None) -> list[_Down]:
     on the band's edge, does the pair take the doubling search over the rows
     with a drop; here its pair is None, and the best response searches only
     the curves it keeps.  The temporaries are a few arrays the block's size.
-    ``run`` is the curves' prefix maximum when the caller holds it already.
     """
     b, n = curves.shape
-    if run is None:
-        run = np.maximum.accumulate(curves, axis=1)
+    run = np.maximum.accumulate(curves, axis=1)
     size = np.maximum(run[:, -1], -curves.min(axis=1))
     drop = run[:, :-1] - curves[:, 1:]  # the drops of rows 1 .. n - 1
     top = drop.max(axis=1, initial=-np.inf)
@@ -274,13 +272,8 @@ def _separable_targets(
     :func:`_downward`, computed here when not given, and this function
     decides the upward moves.  The upward block runs in blocks of rows, so
     its temporaries stay within about ``_BLOCK_BYTES`` however large n is.
-    q's prefix maximum is taken at most once a call.
     """
-    run = None
-    if down is None:
-        run = np.maximum.accumulate(q)
-        down = _downward(q[None], run[None])[0]
-    top, size, pair = down
+    top, size, pair = _downward(q[None])[0] if down is None else down
     # rounding is monotone, so the largest drop answers for every row
     if slack is not None and top - KNIFE_EDGE_ATOL >= -slack:
         return None, None
@@ -289,7 +282,7 @@ def _separable_targets(
     target = idx.copy()
     beat = None  # the value of each row's free downward move, -inf if none
     if top > KNIFE_EDGE_ATOL:
-        run = np.maximum.accumulate(q) if run is None else run
+        run = np.maximum.accumulate(q)
         below = np.concatenate(([-np.inf], run[:-1]))  # below[i] = max(q[:i])
         free = below - q > KNIFE_EDGE_ATOL
         # at[i] is the first index attaining below[i]
@@ -341,8 +334,7 @@ def _separable_targets(
                     edge = (int(block[r]), int(cols[k]))
 
     if pair is None and top > 0.0:  # the first drop reaches the band
-        run = np.maximum.accumulate(q) if run is None else run
-        pair = _first_drop_pair(q, run[:-1] - q[1:])
+        pair = _first_drop_pair(q, np.maximum.accumulate(q)[:-1] - q[1:])
     # within one row a downward pair precedes every upward one
     if pair is not None and (edge is None or pair[0] <= edge[0]):
         edge = pair

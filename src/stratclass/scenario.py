@@ -26,7 +26,7 @@ from typing import Any, Callable, Iterator
 import numpy as np
 import yaml
 
-from .analytic import _ROOT_2PI, GaussianInstance, discretize_instance
+from .analytic import GaussianInstance, _linear_cost, discretize_instance
 from .model import (
     Classifier,
     CostFunction,
@@ -199,15 +199,8 @@ def _build_cost(doc: _Doc, raw: Any, path: tuple, space: FeatureSpace) -> CostFu
             sigma = doc.number(doc.require(sec, path, "sigma"), path + ("sigma",))
             if sigma <= 0:
                 raise doc.fail(path + ("sigma",), "sigma must be positive")
-            with np.errstate(over="ignore"):
-                a = space.points / (_ROOT_2PI * sigma)
-                if not np.isfinite(a[-1] - a[0]):
-                    raise doc.fail(
-                        path + ("sigma",),
-                        "sigma is too small for this grid: "
-                        "the costs x / (sqrt(2 pi) sigma) overflow",
-                    )
-            return shift_cost(space, a)
+            with doc.checked(path + ("sigma",)):
+                return _linear_cost(space, sigma, "sigma")
     raise doc.fail(path + ("kind",), f"unknown cost kind {kind!r} (tabular, shift, linear)")
 
 
@@ -261,9 +254,13 @@ def _build_instance(doc: _Doc, raw: Any, path: tuple):
         grid["n"] = sec["n"]
         if not isinstance(grid["n"], int) or isinstance(grid["n"], bool):
             raise doc.fail(path + ("n",), "n must be an integer")
-    with doc.checked(path):
+    try:
         inst = GaussianInstance(**kwargs)
         return inst, discretize_instance(inst, **grid)
+    except ValidationError as e:
+        # the messages name the fields sigma_a and sigma_b; the document says sigma_A, sigma_B
+        message = re.sub(r"\bsigma_([ab])\b", lambda m: f"sigma_{m[1].upper()}", str(e))
+        raise doc.fail(path, message) from e
 
 
 _TOP_KEYS = {

@@ -49,7 +49,7 @@ class TestGaussianInstance:
         with pytest.raises(ValidationError, match="d >= 8 max"):
             GaussianInstance(t=1.0, d=10.0, sigma_a=0.5, sigma_b=1.0, s_a=0.5, sigma=2.0)
 
-    @pytest.mark.parametrize("name", ["t", "d", "sigma_a", "sigma_b"])
+    @pytest.mark.parametrize("name", ["t", "d"])
     @pytest.mark.parametrize("value", [math.nextafter(2.0**-511, 0.0), math.nextafter(2.0**511, math.inf)])
     def test_scale_outside_the_squarable_range_refused(self, name, value):
         # the range is checked before d >= 8 max(t, sigma)
@@ -75,6 +75,22 @@ class TestGaussianInstance:
                 assert math.isfinite(benefit.u_noiseless_star)
                 disc = discretize_instance(inst, n=201)
                 assert math.isfinite(disc.tolerance)
+
+    @pytest.mark.parametrize("name", ["sigma_a", "sigma_b"])
+    def test_cost_scales_need_only_fit_the_grid(self, name):
+        # no fixed range: a scale is refused only where its costs overflow
+        base = GaussianInstance(t=1.0, d=100.0, sigma_a=0.5, sigma_b=1.0, s_a=0.5)
+        for value in (1e-200, 1e200):
+            disc = discretize_instance(dataclasses.replace(base, **{name: value}), n=201)
+            assert all(np.isfinite(c._a).all() for c in disc.scenario.cost_fns)
+        steep = dataclasses.replace(base, **{name: 1e-310})
+        with pytest.raises(ValidationError, match=rf"^{name} is too small for this grid"):
+            discretize_instance(steep, n=201)
+
+    def test_peaks_too_far_apart_to_square_refused(self):
+        inst = GaussianInstance(t=1.0, d=100.0, sigma_a=1e200, sigma_b=1.0, s_a=0.5)
+        with pytest.raises(ValidationError, match="^sigma_a, sigma_b: the cost peaks lie too far apart"):
+            compare_noise_benefit(inst)
 
     def test_regime_boundary_is_inclusive(self):
         k = 0.25

@@ -688,3 +688,20 @@ class TestLinearCostRange:
         # the span 2 / (sqrt(2 pi) sigma) is finite down to about 4.4e-309
         loaded = parse_scenario(_edit(LINEAR, "sigma: 0.5", "sigma: 1.0e-308"))
         assert np.isfinite(loaded.scenario.cost_fns[0].costs).all()
+
+    @pytest.mark.parametrize("key, given", [("sigma_A", "0.5"), ("sigma_B", "1.0")])
+    def test_instance_cost_scale_refused_only_where_its_costs_overflow(self, key, given, tmp_path, capsys):
+        path = tmp_path / "scales.yaml"
+        # a scale far below the closed forms' range of t and d still evaluates
+        path.write_text(_edit(INSTANCE, f"{key}: {given}", f"{key}: 1.0e-200"))
+        assert main(["evaluate", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("U=") and err == ""
+        # the errors name the document's key, not GaussianInstance's field
+        for value, message in [
+            ("1.0e-310", f"{key} is too small for this grid: the costs x / (sqrt(2 pi) {key}) overflow"),
+            ("-0.5", f"{key}: must be positive"),
+        ]:
+            path.write_text(_edit(INSTANCE, f"{key}: {given}", f"{key}: {value}"))
+            assert main(["evaluate", str(path)]) == 2
+            assert capsys.readouterr() == ("", f"error: line 2: gaussian_instance: {message}\n")
