@@ -10,11 +10,11 @@ Four subcommands share the flag ``--format {text,json,csv}``:
 * ``sweep`` re-evaluates the scenario along a parameter grid and writes
   CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
   apply) once every row is done: the whole sweep, or nothing when a row
-  fails.  A ``sigma`` or ``s_A`` value outside its domain is refused before
-  any row runs.  ``--threads N`` (N >= 1) evaluates rows in parallel, on at
-  most as many threads as the process may use CPUs.  A sigma sweep runs at
-  most as many rows at once as their kernels fit in ``DENSE_BYTES_LIMIT``,
-  and ``--range`` is refused above 2**20 steps, whose rows fill that budget.
+  fails.  Rows run one at a time, in order, on the calling thread;
+  ``--threads N`` is checked (N >= 1) and changes nothing.  A ``sigma`` or
+  ``s_A`` value outside its domain is refused before any row runs, and
+  ``--range`` is refused above 2**20 steps, whose rows fill
+  ``DENSE_BYTES_LIMIT``.
 * ``reproduce`` runs one of the built-in verification targets and maps
   check failures to exit code 1; ``--tol`` (finite, nonnegative) overrides
   its tolerances.
@@ -30,11 +30,8 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, Iterator, TextIO
+from typing import Any, Callable, Iterable, TextIO
 
 import numpy as np
 
@@ -43,7 +40,6 @@ from .model import (
     Classifier,
     SubpopulationScenario,
     ValidationError,
-    _dense_fit_count,
 )
 from .noise import solve_deterministic_noisy, subpop_accuracies
 from .reproduce import TARGETS, Check, ReproduceResult, _fmt, run_reproduce
@@ -57,10 +53,9 @@ _SWEEP_COLUMNS = ("param", "U", "U_A", "U_B", "gap", "E")
 # A sweep holds every row until it writes them, so stdout gets the whole sweep
 # or nothing.  tracemalloc puts the peak of `sweep --param tau` on a two-group
 # file, between 2,000 and 12,000 steps, at 263-266 B a row with CSV output and
-# at about 1,880 B a row with JSON output (a record and its text), with one
-# thread or two: at most 2 x threads futures are in flight.  Budgeting 2 KiB a
-# row on every path keeps the rows within DENSE_BYTES_LIMIT: 2**31 / 2**11 =
-# 2**20 steps at most.
+# at about 1,880 B a row with JSON output (a record and its text).  Budgeting
+# 2 KiB a row on every path keeps the rows within DENSE_BYTES_LIMIT:
+# 2**31 / 2**11 = 2**20 steps at most.
 _SWEEP_ROW_BYTES = 2048
 _MAX_SWEEP_STEPS = DENSE_BYTES_LIMIT // _SWEEP_ROW_BYTES
 
@@ -266,18 +261,7 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     loaded = load_scenario(args.scenario)
     build = _sweep_worker(loaded, args.param)
     _refuse_bad_values(args.param, values)
-    # one worker per CPU the process may use is as many as can run at once
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    threads = min(args.threads, cpus or 1)
-    if args.param == "sigma":
-        # each row in flight builds its own kernel; together they keep to one budget
-        threads = min(threads, _dense_fit_count(loaded.scenario.space.n))
-
-    def row(v: float) -> list:
-        scen, clf = build(float(v))
-        return _sweep_row(float(v), scen, clf)
-
-    rows = list(_in_order(row, values, threads))
+    rows = [_sweep_row(v, *build(v)) for v in values.tolist()]
     if args.format == "json":
         records = [dict(zip(_SWEEP_COLUMNS, map(_jsonable, r))) for r in rows]
         out.write(json.dumps(records, indent=2) + "\n")
@@ -286,20 +270,6 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
         for r in rows:
             _write_csv_row(out, (_cell(v) for v in r))
     return 0
-
-
-def _in_order(fn: Callable[[float], list], values: np.ndarray, threads: int) -> Iterator[list]:
-    """``map(fn, values)`` on ``threads`` workers, with at most 2 x threads rows in flight."""
-    if threads == 1:
-        yield from map(fn, values)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        window: deque[Future] = deque()
-        for v in values:
-            window.append(pool.submit(fn, v))
-            if len(window) == 2 * threads:
-                yield window.popleft().result()
-        yield from (f.result() for f in window)
 
 
 # -------------------------------------------------------------- reproduce
@@ -367,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario file (YAML)")
     p.add_argument("--param", choices=("tau", "sigma", "s_A"), required=True)
     p.add_argument("--range", required=True, help="lo:hi:steps with steps >= 2")
-    p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1); rows keep their order")
+    p.add_argument("--threads", type=int, default=1, help="checked (>= 1), no effect: rows run in order")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("reproduce", parents=[common], help="run a built-in verification target")

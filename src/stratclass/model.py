@@ -114,11 +114,6 @@ def _block_rows(width: int, cell_bytes: int) -> int:
     return max(1, _BLOCK_BYTES // (cell_bytes * width))
 
 
-def _dense_fit_count(n: int) -> int:
-    """How many n x n float64 arrays DENSE_BYTES_LIMIT holds at once, at least 1."""
-    return max(1, DENSE_BYTES_LIMIT // (8 * n * n))
-
-
 def ndtr(x, *args, **kwargs):
     """``scipy.special.ndtr``, imported on the first call.
 

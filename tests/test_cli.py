@@ -11,9 +11,8 @@ import re
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
-from concurrent.futures import Future
+import weakref
 
 import numpy as np
 import pytest
@@ -343,7 +342,8 @@ class TestSweep:
         assert serial[0] == 0
         assert run(capsys, *args, "--threads", "2") == serial
 
-    def test_threaded_csv_sweep_holds_no_more_per_row_than_serial(self, files, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_holds_under_the_row_budget_per_row(self, files, monkeypatch, fmt):
         # rows cost nothing here, so the peak is what the sweep itself holds per row
         monkeypatch.setattr(cli, "_sweep_worker", lambda loaded, param: lambda v: (None, None))
         monkeypatch.setattr(cli, "_sweep_row", lambda v, scen, clf: [v, 0.5, 0.25, 0.75, 0.5, 0.125])
@@ -354,89 +354,49 @@ class TestSweep:
 
         monkeypatch.setattr(cli.sys, "stdout", Discard())
 
-        def peak(steps, threads):
+        def peak(steps):
             argv = ["sweep", files["grouped"], "--param", "tau", "--range", f"-1:1:{steps}"]
             tracemalloc.start()
             try:
-                assert main(argv + ["--threads", threads]) == 0
+                assert main(argv + ["--format", fmt, "--threads", "2"]) == 0
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        def per_row(threads):
-            return (peak(5000, threads) - peak(1000, threads)) / 4000
+        # the step cap, 2**20, is DENSE_BYTES_LIMIT over this per-row budget
+        assert (peak(5000) - peak(1000)) / 4000 < cli._SWEEP_ROW_BYTES
 
-        serial, threaded = per_row("1"), per_row("2")
-        # both hold the rows' lists until they are written, where a future per
-        # row made up front held about 1,600 B more.  The slack, under one
-        # float object, absorbs where in the list's growth tracemalloc
-        # catches each peak.
-        assert threaded <= serial + 16
-
-    def test_sigma_sweep_builds_no_more_kernels_than_fit(self, files, capsys, monkeypatch):
-        # each row in flight builds its own kernel; with room for two 2 x 2
-        # kernels, four threads still hold at most two at once
+    def test_sigma_sweep_holds_one_kernel_at_a_time(self, files, capsys, monkeypatch):
+        # rows run one after another, so a row's kernel is gone before the
+        # next row builds its own, whatever --threads asks
         build = model.NoiseKernel.gaussian
-        lock = threading.Lock()
-        live, peaks = [0], []
+        kernels, peaks = [], []
 
         def counted(cls, space, sigma):
-            with lock:
-                live[0] += 1
-                peaks[-1] = max(peaks[-1], live[0])
-            try:
-                time.sleep(0.1)
-                return build(space, sigma)
-            finally:
-                with lock:
-                    live[0] -= 1
+            kernel = build(space, sigma)
+            kernels.append(weakref.ref(kernel))
+            peaks.append(sum(ref() is not None for ref in kernels))
+            return kernel
 
         monkeypatch.setattr(model.NoiseKernel, "gaussian", classmethod(counted))
-        # four usable CPUs, so only the kernel budget can hold the pool below four
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         args = ("sweep", files["s2det"], "--param", "sigma", "--range", "0.1:1:8")
-        outs = []
-        for limit in (model.DENSE_BYTES_LIMIT, 2 * 8 * 2 * 2):
-            monkeypatch.setattr(model, "DENSE_BYTES_LIMIT", limit)
-            peaks.append(0)
-            rc, out, _ = run(capsys, *args, "--threads", "4")
-            assert rc == 0
-            outs.append(out)
-        assert peaks == [4, 2]
-        assert outs[0] == outs[1] == run(capsys, *args)[1]
+        rc, out, _ = run(capsys, *args, "--threads", "4")
+        assert rc == 0
+        assert peaks == [1] * 8
+        assert out == run(capsys, *args)[1]
 
-    def test_threads_capped_at_usable_cpus(self, files, capsys, monkeypatch):
-        # record the pool's size instead of starting its threads
-        sizes = []
+    def test_rows_run_on_the_calling_thread(self, files, capsys, monkeypatch):
+        row = cli._sweep_row
+        idents = []
 
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recorded(*args):
+            idents.append(threading.get_ident())
+            return row(*args)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def submit(self, fn, value):
-                done = Future()
-                done.set_result(fn(value))
-                return done
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", Pool)
-        args = ("sweep", files["grouped"], "--param", "tau", "--range", "-1:1:5")
-        want = run(capsys, *args)[1]
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
-        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
-        assert run(capsys, *args, "--threads", "2") == (0, want, "")
-        # without an affinity mask the CPU count decides, and an unknown one means one
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
-        monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert run(capsys, *args, "--threads", "50000") == (0, want, "")
-        assert sizes == [3, 2, 4]
+        monkeypatch.setattr(cli, "_sweep_row", recorded)
+        rc, _, _ = run(capsys, "sweep", files["grouped"], "--param", "tau", "--range", "-1:1:9", "--threads", "2")
+        assert rc == 0
+        assert idents == [threading.get_ident()] * 9
 
     @pytest.mark.parametrize("text", ["nan:1:3", "0:inf:3", "-1e308:1e308:3"])
     def test_non_finite_range_refused(self, files, capsys, text):
@@ -894,22 +854,24 @@ with open(report_path, "w") as f:
     assert proc.stdout == out.encode()
 
 
-def test_first_cdf_import_inside_pool_threads(files, capsys):
-    # A fresh process has no scipy.special, so the sigma rows in flight on
-    # the pool's threads may import it at once; their rows must not change.
-    argv = ["sweep", files["grouped"], "--param", "sigma", "--range", "0:1:8"]
+def test_threads_change_no_byte_of_a_warning_sweep(instance_files):
+    # Each run is a fresh process, so every row's knife-edge warnings reach
+    # stderr, and its first cdf import happens during the run.
+    argv = ["sweep", instance_files["cut"], "--param", "sigma", "--range", "0:1:16"]
     script = """\
 import sys
 from stratclass import cli
 sys.exit(cli.main(sys.argv[1:]) if "scipy.special" not in sys.modules else 3)
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", script, *argv, "--threads", "2"],
-        env=_fresh_env(),
-        capture_output=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr.decode()
-    rc, out, _ = run(capsys, *argv, "--threads", "1")
-    assert rc == 0
-    assert proc.stdout == out.encode()
+    outputs = []
+    for threads in ("1", "2", "4"):
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--threads", threads],
+            env=_fresh_env(),
+            capture_output=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append((proc.stdout, proc.stderr))
+    assert b"KnifeEdgeWarning" in outputs[0][1]
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
