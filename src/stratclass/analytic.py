@@ -151,9 +151,11 @@ def noiseless_subpop_utility(tau, inst: GaussianInstance, which: str = "A"):
     sigma_s = _group_sigma(inst, which)
     tau = np.asarray(tau, dtype=float)
     peak = _ROOT_2PI * sigma_s
-    bump = (inst.t / (_ROOT_2PI * inst.d)) * np.exp(
-        -((tau - peak) ** 2) / (2.0 * inst.t**2)
-    )
+    # far from the peak in units of t the exponent overflows to -inf, whose
+    # exp is the limit 0, so the value is the baseline 1/2
+    with np.errstate(over="ignore"):
+        exponent = -((tau - peak) ** 2) / (2.0 * inst.t**2)
+    bump = (inst.t / (_ROOT_2PI * inst.d)) * np.exp(exponent)
     out = bump + 0.5
     return float(out) if out.ndim == 0 else out
 

@@ -8,9 +8,10 @@ Four subcommands share the flag ``--format {text,json,csv}``:
   mode; utility+randomized is rejected because any randomized utility
   optimum is unstable against its own derandomization.
 * ``sweep`` re-evaluates the scenario along a parameter grid and writes
-  CSV rows ``param,U,U_A,U_B,gap,E`` (empty cells where a column does not
-  apply) once every row is done: the whole sweep, or nothing when a row
-  fails.  Rows run one at a time, in order, on the calling thread;
+  CSV rows ``param,U,U_<label>...,gap,E``, one ``U_<label>`` per group in
+  the file's order (``U_A,U_B`` with empty cells for a single population),
+  once every row is done: the whole sweep, or nothing when a row fails.
+  Rows run one at a time, in order, on the calling thread;
   ``--threads N`` is checked (N >= 1) and changes nothing.  A ``sigma`` or
   ``s_A`` value outside its domain is refused before any row runs, and
   ``--range`` is refused above 2**20 steps, whose rows fill
@@ -47,8 +48,6 @@ from .scenario import LoadedScenario, ScenarioError, load_scenario, noise_rebuil
 from .solvers import solve_efficiency_lp
 
 __all__ = ["main"]
-
-_SWEEP_COLUMNS = ("param", "U", "U_A", "U_B", "gap", "E")
 
 # A sweep holds every row until it writes them, so stdout gets the whole sweep
 # or nothing.  tracemalloc puts the peak of `sweep --param tau` on a two-group
@@ -241,17 +240,17 @@ def _refuse_bad_values(param: str, values: np.ndarray) -> None:
         raise CliError(f"{rule}, got {_fmt(values[bad][0])}")
 
 
+def _sweep_columns(scen: SubpopulationScenario) -> tuple[str, ...]:
+    """One U_<label> column per group; a single population keeps empty U_A and U_B."""
+    groups = [f"U_{label}" for label in scen.labels] if scen.k > 1 else ["U_A", "U_B"]
+    return ("param", "U", *groups, "gap", "E")
+
+
 def _sweep_row(value: float, scen: SubpopulationScenario, clf: Classifier) -> list:
     rep = subpop_accuracies(clf, scen)
-    two = len(rep.labels) > 1
-    return [
-        float(value),
-        rep.utility,
-        rep.utilities[0] if two else None,
-        rep.utilities[1] if two else None,
-        rep.gap if two else None,
-        rep.efficiency,
-    ]
+    if len(rep.labels) > 1:
+        return [value, rep.utility, *rep.utilities, rep.gap, rep.efficiency]
+    return [value, rep.utility, None, None, None, rep.efficiency]
 
 
 def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
@@ -262,11 +261,12 @@ def cmd_sweep(args: argparse.Namespace, out: TextIO) -> int:
     build = _sweep_worker(loaded, args.param)
     _refuse_bad_values(args.param, values)
     rows = [_sweep_row(v, *build(v)) for v in values.tolist()]
+    columns = _sweep_columns(loaded.scenario)
     if args.format == "json":
-        records = [dict(zip(_SWEEP_COLUMNS, map(_jsonable, r))) for r in rows]
+        records = [dict(zip(columns, map(_jsonable, r))) for r in rows]
         out.write(json.dumps(records, indent=2) + "\n")
     else:
-        _write_csv_row(out, _SWEEP_COLUMNS)
+        _write_csv_row(out, columns)
         for r in rows:
             _write_csv_row(out, (_cell(v) for v in r))
     return 0

@@ -130,6 +130,24 @@ class TestClosedForms:
         assert vals[0] == noiseless_subpop_utility(0.0, inst, "A")
         assert isinstance(noiseless_subpop_utility(0.0, inst, "A"), float)
 
+    @pytest.mark.parametrize(
+        "t, d, tau", [(2.0**-511, 1.0, 10.0), (1.0, 100.0, 1e155)], ids=["tiny-t", "far-tau"]
+    )
+    def test_far_tail_is_the_baseline_without_a_warning(self, t, d, tau):
+        # the exponent overflows to -inf there; a RuntimeWarning fails the test
+        far = GaussianInstance(t=t, d=d, sigma_a=1.0, sigma_b=1.0, s_a=0.5)
+        assert noiseless_subpop_utility(tau, far, "A") == 0.5
+        assert noiseless_subpop_utility(np.array([tau, -tau]), far, "B").tolist() == [0.5, 0.5]
+        assert noiseless_overall_utility(tau, far) == 0.5
+
+    def test_finite_exponents_keep_their_bits(self, inst):
+        taus = np.concatenate((np.linspace(-40.0, 40.0, 801), [1e100, -1e150]))
+        for which, scale in (("A", inst.sigma_a), ("B", inst.sigma_b)):
+            exponent = -((taus - ROOT_2PI * scale) ** 2) / (2.0 * inst.t**2)
+            want = (inst.t / (ROOT_2PI * inst.d)) * np.exp(exponent) + 0.5
+            assert np.array_equal(noiseless_subpop_utility(taus, inst, which), want)
+            assert [noiseless_subpop_utility(v, inst, which) for v in taus] == want.tolist()
+
     def test_unknown_group_rejected(self, inst):
         with pytest.raises(ValidationError, match="expected 'A' or 'B'"):
             noiseless_subpop_utility(0.0, inst, "C")

@@ -97,6 +97,19 @@ classifier:
   tau: 0.5
 """
 
+THREE_LABELLED = """\
+features: [-1.0, 0.0, 1.0]
+pi: [0.25, 0.5, 0.25]
+h: [0.2, 0.5, 0.8]
+subpopulations:
+  - {label: X, share: 0.25, cost: {kind: shift, a: [0.0, 0.8, 1.6]}}
+  - {label: Y, share: 0.5, cost: {kind: shift, a: [0.0, 0.4, 0.8]}}
+  - {label: Z, share: 0.25, cost: {kind: shift, a: [0.0, 0.1, 0.2]}}
+classifier:
+  kind: threshold
+  tau: 0.5
+"""
+
 BAD_PI = S2.replace("pi: [0.5, 0.5]", "pi: [0.5, 0.4]")
 
 NEAR_FLOAT_MAX = """\
@@ -127,6 +140,7 @@ def files(tmp_path):
         "s3": S3,
         "grouped": GROUPED,
         "groupednoclf": GROUPED[: GROUPED.index("classifier:")],
+        "three": THREE_LABELLED,
         "badpi": BAD_PI,
         "nearmax": NEAR_FLOAT_MAX,
         "overcap": OVER_LP_CAP,
@@ -311,6 +325,24 @@ class TestSweep:
             "0.5,0.575,0.65,0.5,0.15,0.405\n"
             "0.75,0.6125,0.65,0.5,0.15,0.4275\n"
         )
+
+    @pytest.mark.parametrize("param", ["tau", "sigma"])
+    def test_one_column_per_labelled_group(self, files, capsys, param):
+        # the columns are evaluate's U_<label> keys, in the file's order
+        lo_hi = {"tau": "0.5:0.5:2", "sigma": "0:0:2"}[param]
+        args = ("sweep", files["three"], "--param", param, "--range", lo_hi)
+        rc, out, err = run(capsys, *args)
+        assert (rc, err) == (0, "")
+        _, evaluated, _ = run(capsys, "evaluate", files["three"], "--format", "csv")
+        keys, cells = evaluated.splitlines()
+        assert keys == "U,C,E,U_X,U_Y,U_Z,gap"
+        U, _, E, *groups, gap = cells.split(",")
+        row = ",".join(["0.5" if param == "tau" else "0", U, *groups, gap, E])
+        assert out == "param,U,U_X,U_Y,U_Z,gap,E\n" + row + "\n" + row + "\n"
+        rc, out, _ = run(capsys, *args, "--format", "json")
+        assert rc == 0
+        assert list(json.loads(out)[0]) == ["param", "U", "U_X", "U_Y", "U_Z", "gap", "E"]
+        assert json.loads(out)[1]["U_Z"] == float(groups[2])
 
     def test_sigma_sweep(self, files, capsys):
         rc, out, _ = run(capsys, "sweep", files["s2det"], "--param", "sigma", "--range", "0:1:3")
@@ -794,7 +826,7 @@ def test_scipy_modules_load_only_where_needed(files, instance_files, capsys, tmp
     noiseless = [
         ["evaluate", files["grouped"]],
         ["solve", files["s2"], "--objective", "utility", "--mode", "deterministic"],
-        ["sweep", files["grouped"], "--param", "tau", "--range", "-1:1:3"],
+        ["sweep", files["grouped"], "--param", "tau", "--range", "-1:1:3", "--threads", "2"],
         ["reproduce", "ex-noise"],
     ]
     gaussian = [
@@ -808,8 +840,11 @@ def test_scipy_modules_load_only_where_needed(files, instance_files, capsys, tmp
     # commands on explicit noiseless grids, those that build a Gaussian grid
     # or kernel, and the LP solve, whose stdout is the process's own.  It
     # records, in the file named by argv[1], the exit codes and which of the
-    # deferred scipy modules were loaded after each step.  (A module-level
-    # string here would be read as a YAML document by test_certified_sweep.)
+    # deferred scipy modules were loaded after each step, and whether the
+    # thread pool module was (scipy.special imports it, so only the steps
+    # before the first Gaussian command can show that the cli does not).
+    # (A module-level string here would be read as a YAML document by
+    # test_certified_sweep.)
     script = """\
 import contextlib, io, json, sys
 
@@ -823,11 +858,13 @@ import stratclass
 report = {"codes": [], "after_package": loaded()}
 from stratclass import cli
 report["after_cli"] = loaded()
+report["pool_after_cli"] = "concurrent.futures" in sys.modules
 for name, commands in phases:
     for argv in commands:
         with contextlib.redirect_stdout(io.StringIO()):
             report["codes"].append(cli.main(argv))
     report["after_" + name] = loaded()
+    report["pool_after_" + name] = "concurrent.futures" in sys.modules
 report["codes"].append(cli.main(lp))
 report["after_lp"] = loaded()
 with open(report_path, "w") as f:
@@ -847,6 +884,7 @@ with open(report_path, "w") as f:
     assert report["after_package"] == []
     assert report["after_cli"] == []
     assert report["after_noiseless"] == []
+    assert not report["pool_after_cli"] and not report["pool_after_noiseless"]
     assert report["after_gaussian"] == ["scipy.special"]
     assert report["after_lp"] == ["scipy.optimize", "scipy.sparse", "scipy.special"]
     rc, out, _ = run(capsys, *lp)
