@@ -349,8 +349,8 @@ def _check_noisy_classifier(
     # randomized classifiers are the whole point.
     if kernel is not None and not allow_randomized and not f.is_deterministic:
         raise ValidationError(
-            "the noisy pipeline expects a deterministic classifier "
-            "(pass allow_randomized=True to override)"
+            "the noisy pipeline expects a deterministic classifier: "
+            "every acceptance probability must be 0 or 1"
         )
 
 

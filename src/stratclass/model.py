@@ -207,75 +207,72 @@ class CostViolation:
     excess: float
 
 
-def _qualified_order(n: int, h: np.ndarray | None) -> np.ndarray:
-    """Boolean matrix Q[i, j]: point i is at least as qualified as point j.
-
-    With ``h`` given, qualification follows ``h`` with ties broken by grid
-    position (under monotone ``h`` this is exactly the grid order).  Without
-    ``h`` the grid order is used directly.
-    """
-    idx = np.arange(n)
-    if h is None:
-        return idx[:, None] >= idx[None, :]
-    hi, hj = h[:, None], h[None, :]
-    return (hi > hj) | ((hi == hj) & (idx[:, None] >= idx[None, :]))
-
-
-def validate_simple_cost(costs: np.ndarray, h: np.ndarray | None) -> list[CostViolation]:
+def validate_simple_cost(costs: np.ndarray) -> list[CostViolation]:
     """Check a raw cost matrix against the five simple-cost axioms.
 
-    1. costs are nonnegative;
-    2. moving to a weakly less qualified point is free;
-    3. costs are sub-additive over intermediate points;
-    4. moving to a less qualified destination is never dearer (implied by
-       1 to 3, checked anyway);
-    5. moving from a better qualified source is never dearer (also implied).
+    Qualification follows the grid, as :class:`Population` requires of
+    ``h``: a higher index is at least as qualified.
 
-    Entries are compared to within ``COST_ATOL``.  Returns an empty list iff
-    the matrix is simple.  Axioms 4 and 5 report adjacent-pair witnesses
-    along the qualification order.
+    1. costs are nonnegative;
+    2. moving to a weakly lower point is free;
+    3. costs are sub-additive over intermediate points;
+    4. moving to a lower destination is never dearer (implied by 1 to 3,
+       checked anyway);
+    5. moving from a higher source is never dearer (also implied).
+
+    Returns an empty list iff the matrix is simple, and refuses a matrix
+    that is not square or holds a non-finite entry.  Axioms 4 and 5 report
+    adjacent witnesses, ``(i, p, p + 1)`` for a row that drops and
+    ``(p, p + 1, k)`` for a column that rises.
+
+    Entries are compared to within ``COST_ATOL``; sub-additivity allows
+    ``4u (|c_ij| + |c_jk| + |c_ik|)`` more, with u = eps / 2.  Each entry is
+    taken as one rounded difference (as :func:`shift_cost` builds it), off
+    by at most u of its size, and the check's sum and difference round once
+    each.  Together that moves the slack ``c_ik - (c_ij + c_jk)`` by at most
+    3u per entry to first order; the fourth u covers the second-order terms.
+    Each entry is scaled before the three are added, so the allowance cannot
+    overflow.
     """
     costs = np.asarray(costs, dtype=float)
     n = costs.shape[0]
     if costs.shape != (n, n):
         raise ValidationError(f"costs: expected a square matrix, got {costs.shape}")
-    if h is not None:
-        h = np.asarray(h, dtype=float)
-        if h.shape != (n,):
-            raise ValidationError(f"h: expected {n} entries, got {h.shape}")
+    if not np.all(np.isfinite(costs)):  # NaN fails every comparison below
+        raise ValidationError("costs: entries must be finite")
     out: list[CostViolation] = []
 
     for i, j in zip(*np.nonzero(costs < -COST_ATOL)):
         out.append(CostViolation(1, "nonnegative", (int(i), int(j)), float(-costs[i, j])))
 
-    order = _qualified_order(n, h)
-    free = order & (np.abs(costs) > COST_ATOL)
+    lower = np.tril(np.ones((n, n), dtype=bool))
+    free = lower & (np.abs(costs) > COST_ATOL)
     for i, j in zip(*np.nonzero(free)):
         out.append(CostViolation(2, "free-downward", (int(i), int(j)), float(abs(costs[i, j]))))
 
     # Sub-additivity, chunked over the intermediate point to stay vectorised.
+    # A hop sum beyond the float range is inf, and no finite c_ik exceeds it.
+    rounding = 2.0 * np.finfo(float).eps * np.abs(costs)
     for j in range(n):
-        slack = costs - (costs[:, j : j + 1] + costs[j : j + 1, :])
-        for i, k in zip(*np.nonzero(slack > COST_ATOL)):
+        with np.errstate(over="ignore"):
+            slack = costs - (costs[:, j : j + 1] + costs[j : j + 1, :])
+        allowance = COST_ATOL + rounding + rounding[:, j : j + 1] + rounding[j : j + 1, :]
+        for i, k in zip(*np.nonzero(slack > allowance)):
             out.append(
                 CostViolation(3, "subadditive", (int(i), int(j), int(k)), float(slack[i, k]))
             )
 
-    # Order columns from least to most qualified; rows must be nondecreasing
-    # along it (axiom 4) and columns nonincreasing (axiom 5).
-    if h is None:
-        perm = np.arange(n)
-    else:
-        perm = np.lexsort((np.arange(n), h))
-    ordered = costs[:, perm][perm, :]
-    drop = ordered[:, :-1] - ordered[:, 1:]
+    # Rows must be nondecreasing along the grid (axiom 4), columns nonincreasing (axiom 5).
+    drop = costs[:, :-1] - costs[:, 1:]
     for i, p in zip(*np.nonzero(drop > COST_ATOL)):
-        lo, hi_ = int(perm[p]), int(perm[p + 1])
-        out.append(CostViolation(4, "destination-monotone", (int(perm[i]), lo, hi_), float(drop[i, p])))
-    rise = ordered[1:, :] - ordered[:-1, :]
+        out.append(
+            CostViolation(4, "destination-monotone", (int(i), int(p), int(p) + 1), float(drop[i, p]))
+        )
+    rise = costs[1:, :] - costs[:-1, :]
     for p, k in zip(*np.nonzero(rise > COST_ATOL)):
-        lo, hi_ = int(perm[p]), int(perm[p + 1])
-        out.append(CostViolation(5, "source-antitone", (lo, hi_, int(perm[k])), float(rise[p, k])))
+        out.append(
+            CostViolation(5, "source-antitone", (int(p), int(p) + 1, int(k)), float(rise[p, k]))
+        )
 
     return out
 
@@ -287,8 +284,8 @@ class CostFunction:
     Construction enforces the cheap axioms directly: entries are nonnegative
     and every move to a weakly lower grid point is free (tiny numerical dust
     on those entries is canonicalised to exact zero).  Sub-additivity is the
-    caller's responsibility; run :func:`validate_simple_cost` on ``costs``
-    for the full certificate.  A separable cost (:func:`shift_cost`) is
+    caller's responsibility; run ``validate_simple_cost(costs)`` for the
+    full certificate.  A separable cost (:func:`shift_cost`) is
     stored as its ``a`` alone: ``costs`` is built on first read, refused
     like any n x n build beyond ``DENSE_BYTES_LIMIT``, and :meth:`at` serves
     entries without it.

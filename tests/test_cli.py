@@ -540,6 +540,24 @@ def test_gaussian_noise_at_sigma_zero_is_no_noise(tmp_path, capsys, argv):
     assert results[0][0] == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("evaluate",), ("sweep", "--param", "sigma", "--range", "0.5:1:2")],
+    ids=["evaluate", "sweep-sigma"],
+)
+def test_randomized_classifier_refused_under_noise(tmp_path, capsys, argv):
+    # the refusal says what the file must hold; the CLI has no override flag
+    command, *flags = argv
+    path = tmp_path / "s2.yaml"
+    path.write_text(S2.replace("classifier:", "noise: {kind: gaussian, sigma: 0.5}\nclassifier:"))
+    rc, out, err = run(capsys, command, str(path), *flags)
+    assert (rc, out) == (2, "")
+    assert err == (
+        "error: the noisy pipeline expects a deterministic classifier: "
+        "every acceptance probability must be 0 or 1\n"
+    )
+
+
 class TestReproduce:
     def test_twopoint_target(self, capsys):
         rc, out, _ = run(capsys, "reproduce", "ex-2pt")

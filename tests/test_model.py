@@ -7,13 +7,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from stratclass import (
     Classifier,
     CostFunction,
+    CostViolation,
     FeatureSpace,
     NoiseKernel,
     Population,
@@ -28,7 +29,6 @@ from stratclass.analytic import _symmetric_grid
 from stratclass.scenario import noise_rebuilder
 from stratclass.sampling import (
     random_dominating_pair,
-    random_population,
     random_simple_cost,
     random_space,
 )
@@ -112,7 +112,7 @@ class TestCostFunction:
         assert c.costs[0, 2] == pytest.approx(1.0, abs=0)
         assert c.costs[1, 2] == pytest.approx(0.7)
         assert np.all(c.costs[np.tril_indices(3)] == 0.0)
-        assert validate_simple_cost(c.costs, None) == []
+        assert validate_simple_cost(c.costs) == []
 
     def test_shift_cost_matrix_refused_beyond_the_dense_limit(self, monkeypatch):
         # one byte below a 3 x 3 float64 matrix: reading costs must refuse, not build
@@ -129,42 +129,82 @@ class TestCostFunction:
 
 
 class TestSimpleCostAxioms:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_refused(self, bad):
+        # a NaN compares false with every bound, so it would pass as simple
+        with pytest.raises(ValidationError, match="^costs: entries must be finite$"):
+            validate_simple_cost(np.array([[0.0, 1.0], [bad, 0.0]]))
+
     def test_negative_entry_flagged(self):
-        out = validate_simple_cost(np.array([[0.0, 1.0], [-0.5, 0.0]]), None)
+        out = validate_simple_cost(np.array([[0.0, 1.0], [-0.5, 0.0]]))
         assert any(v.axiom == 1 for v in out)
 
     def test_downward_charge_flagged(self):
-        out = validate_simple_cost(np.array([[0.0, 1.0], [0.5, 0.0]]), None)
+        # a charged upward move is simple; a charged downward move is not,
+        # and neither is a charged stay
+        assert validate_simple_cost(np.array([[0.0, 0.5], [0.0, 0.0]])) == []
+        out = validate_simple_cost(np.array([[0.0, 1.0], [0.5, 0.0]]))
         assert any(v.axiom == 2 for v in out)
+        assert validate_simple_cost(np.array([[0.5, 1.0], [0.0, 0.0]])) == [
+            CostViolation(2, "free-downward", (0, 0), 0.5)
+        ]
 
     def test_subadditivity_flagged(self):
         # 0 -> 2 direct costs 1.0 but the two hops cost 0.2 + 0.2.
         costs = np.array([[0.0, 0.2, 1.0], [0.0, 0.0, 0.2], [0.0, 0.0, 0.0]])
-        out = validate_simple_cost(costs, None)
+        out = validate_simple_cost(costs)
         viols = [v for v in out if v.axiom == 3]
         assert viols and viols[0].indices == (0, 1, 2)
 
-    def test_qualification_order_follows_h(self):
-        # Grid-upward but h-downward: free under the grid order, a charged
-        # downward move once h says the destination is less qualified.
-        costs = np.array([[0.0, 0.5], [0.0, 0.0]])
-        assert validate_simple_cost(costs, None) == []
-        out = validate_simple_cost(costs, np.array([1.0, 0.0]))
-        assert any(v.axiom == 2 for v in out)
+    def test_hop_sums_beyond_the_float_range_are_no_violation(self):
+        # 0 -> 1 -> 2 sums to 2e308, which overflows; the matrix is simple
+        costs = np.triu(np.full((3, 3), 1e308), 1)
+        assert validate_simple_cost(CostFunction(FeatureSpace([0.0, 1.0, 2.0]), costs).costs) == []
 
-    def test_flat_h_ties_break_by_grid_position(self):
-        # Equal h falls back to grid order, so the same matrix stays simple.
-        costs = np.array([[0.0, 0.5], [0.0, 0.0]])
-        assert validate_simple_cost(costs, np.array([0.5, 0.5])) == []
+    def test_row_that_drops_names_its_adjacent_destinations(self):
+        # from 0, the move to 2 costs less than the move to 1 below it
+        costs = np.array([[0.0, 1.0, 0.75], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        assert validate_simple_cost(costs) == [
+            CostViolation(3, "subadditive", (0, 2, 1), 0.25),
+            CostViolation(4, "destination-monotone", (0, 1, 2), 0.25),
+        ]
+
+    def test_column_that_rises_names_its_adjacent_sources(self):
+        # reaching 2 costs more from 1 than from 0 below it
+        costs = np.array([[0.0, 0.5, 0.5], [0.0, 0.0, 0.75], [0.0, 0.0, 0.0]])
+        assert validate_simple_cost(costs) == [
+            CostViolation(3, "subadditive", (1, 0, 2), 0.25),
+            CostViolation(5, "source-antitone", (0, 1, 2), 0.25),
+        ]
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(3, 10),
+        exponent=st.floats(0.0, 307.9),
+    )
+    @example(seed=0, n=8, exponent=307.9)
+    @settings(max_examples=200, deadline=None)
+    def test_subadditivity_scales_with_the_costs(self, seed, n, exponent):
+        # a sorted in [-s, s] with both ends drawn, so the largest entry is
+        # 2s, up to 1.6e308: three such entries summed unscaled overflow
+        s = 10.0**exponent
+        rng = np.random.default_rng(seed)
+        a = np.sort(np.concatenate(([-s, s], rng.uniform(-s, s, n - 2))))
+        costs = np.array(shift_cost(FeatureSpace(np.arange(float(n))), a).costs)
+        assert validate_simple_cost(costs) == []
+        # the same matrix with c_ik above c_ij + c_jk by 1e-6 of its largest entry
+        i, j, k = sorted(rng.choice(n, 3, replace=False).tolist())
+        costs[i, k] = costs[i, j] + costs[j, k] + 1e-6 * costs.max()
+        out = validate_simple_cost(costs)
+        assert any(v.axiom == 3 and v.indices == (i, j, k) for v in out)
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 8))
     @settings(max_examples=60, deadline=None)
     def test_sampled_costs_are_simple(self, seed, n):
         rng = np.random.default_rng(seed)
         space = random_space(rng, n)
-        pop = random_population(rng, space)
         cost = random_simple_cost(rng, space)
-        assert validate_simple_cost(cost.costs, pop.h) == []
+        assert validate_simple_cost(cost.costs) == []
 
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6))
     @settings(max_examples=40, deadline=None)
@@ -173,8 +213,8 @@ class TestSimpleCostAxioms:
         space = random_space(rng, n)
         high, low = random_dominating_pair(rng, space)
         assert np.all(high.costs >= low.costs)
-        assert validate_simple_cost(high.costs, None) == []
-        assert validate_simple_cost(low.costs, None) == []
+        assert validate_simple_cost(high.costs) == []
+        assert validate_simple_cost(low.costs) == []
 
 
 class TestClassifier:
@@ -431,10 +471,9 @@ _COST = CostFunction(_SPACE, [[0.0, 0.5], [0.0, 0.0]])
     [
         (lambda: Population(_SPACE, [0.5, 0.5], [0.5]), "h: expected 2 entries, got (1,)"),
         (
-            lambda: validate_simple_cost(np.zeros((2, 3)), None),
+            lambda: validate_simple_cost(np.zeros((2, 3))),
             "costs: expected a square matrix, got (2, 3)",
         ),
-        (lambda: validate_simple_cost(np.zeros((2, 2)), [0.0]), "h: expected 2 entries, got (1,)"),
         (lambda: CostFunction(_SPACE, np.ones((3, 2))), "costs: expected a 2x2 matrix, got (3, 2)"),
         (lambda: CostFunction(_SPACE, [[0.0, np.nan], [0, 0]]), "costs: entries must be finite"),
         (lambda: shift_cost(_SPACE, [0.0]), "a: expected 2 entries, got (1,)"),
