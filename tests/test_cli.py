@@ -121,6 +121,22 @@ noise: {kind: gaussian, sigma: 1.0}
 classifier: {kind: threshold, tau: 1.5e+308}
 """
 
+# a tabular LP whose optimum rejects the bottom three points; -0.0 in the
+# costs too, which no entry of g may turn into a printed "-0"
+ZEROS_LP = """\
+features: [1.0, 2.0, 3.0, 4.0]
+pi: [0.3, 0.3, 0.2, 0.2]
+h: [0.0, 0.1, 0.2, 0.9]
+cost: {kind: tabular, matrix: [[0.0, -0.0, 0.3, 0.9], [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.6], [0.0, 0.0, 0.0, 0.0]]}
+"""
+
+LINEAR_LP = """\
+features: [0.0, 0.5, 1.0]
+pi: [0.25, 0.5, 0.25]
+h: [0.0, 0.5, 1.0]
+cost: {kind: linear, sigma: 0.5}
+"""
+
 _N = LP_MAX_POINTS + 1
 OVER_LP_CAP = f"""\
 features: {[float(i) for i in range(_N)]}
@@ -144,6 +160,8 @@ def files(tmp_path):
         "badpi": BAD_PI,
         "nearmax": NEAR_FLOAT_MAX,
         "overcap": OVER_LP_CAP,
+        "zeroslp": ZEROS_LP,
+        "linearlp": LINEAR_LP,
     }
     paths = {}
     for name, text in texts.items():
@@ -245,6 +263,13 @@ class TestSolve:
         rc, out, _ = run(capsys, "solve", files["s2"], "--objective", "efficiency", "--mode", "randomized")
         assert rc == 0
         assert out == "g=(0.5, 1)\nE=0.75\n"
+
+    def test_efficiency_randomized_prints_no_negative_zero(self, files, capsys):
+        rc, out, _ = run(
+            capsys, "solve", files["zeroslp"], "--objective", "efficiency", "--mode", "randomized"
+        )
+        assert rc == 0
+        assert out == "g=(0, 0, 0, 0.6)\nE=0.846\n"
 
     def test_efficiency_randomized_json(self, files, capsys):
         rc, out, _ = run(
@@ -854,10 +879,12 @@ def test_scipy_modules_load_only_where_needed(files, instance_files, capsys, tmp
         ["reproduce", "thm4"],
     ]
     lp = ["solve", files["s2"], "--objective", "efficiency", "--mode", "randomized"]
+    linear_lp = ["solve", files["linearlp"], "--objective", "efficiency", "--mode", "randomized"]
     # One fresh interpreter imports the package, then the cli, then runs the
     # commands on explicit noiseless grids, those that build a Gaussian grid
-    # or kernel, and the LP solve, whose stdout is the process's own.  It
-    # records, in the file named by argv[1], the exit codes and which of the
+    # or kernel, then a tabular LP solve (the flow solver), whose stdout is
+    # the process's own, and a separable one (HiGHS).  It records, in the
+    # file named by argv[1], the exit codes and which of the
     # deferred scipy modules were loaded after each step, and whether the
     # thread pool module was (scipy.special imports it, so only the steps
     # before the first Gaussian command can show that the cli does not).
@@ -866,7 +893,8 @@ def test_scipy_modules_load_only_where_needed(files, instance_files, capsys, tmp
     script = """\
 import contextlib, io, json, sys
 
-report_path, phases, lp = sys.argv[1], json.loads(sys.argv[2]), json.loads(sys.argv[3])
+report_path, phases = sys.argv[1], json.loads(sys.argv[2])
+lp, linear_lp = json.loads(sys.argv[3]), json.loads(sys.argv[4])
 
 def loaded():
     deferred = ("scipy.optimize", "scipy.sparse", "scipy.special")
@@ -885,26 +913,33 @@ for name, commands in phases:
     report["pool_after_" + name] = "concurrent.futures" in sys.modules
 report["codes"].append(cli.main(lp))
 report["after_lp"] = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    report["codes"].append(cli.main(linear_lp))
+report["after_linear_lp"] = loaded()
 with open(report_path, "w") as f:
     json.dump(report, f)
 """
     report_path = tmp_path / "report.json"
     phases = [["noiseless", noiseless], ["gaussian", gaussian]]
     proc = subprocess.run(
-        [sys.executable, "-c", script, str(report_path), json.dumps(phases), json.dumps(lp)],
+        [
+            sys.executable, "-c", script, str(report_path), json.dumps(phases),
+            json.dumps(lp), json.dumps(linear_lp),
+        ],
         env=_fresh_env(),
         capture_output=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     report = json.loads(report_path.read_text())
-    assert report["codes"] == [0] * 9
+    assert report["codes"] == [0] * 10
     assert report["after_package"] == []
     assert report["after_cli"] == []
     assert report["after_noiseless"] == []
     assert not report["pool_after_cli"] and not report["pool_after_noiseless"]
     assert report["after_gaussian"] == ["scipy.special"]
-    assert report["after_lp"] == ["scipy.optimize", "scipy.sparse", "scipy.special"]
+    assert report["after_lp"] == ["scipy.special"]
+    assert report["after_linear_lp"] == ["scipy.optimize", "scipy.sparse", "scipy.special"]
     rc, out, _ = run(capsys, *lp)
     assert rc == 0
     assert proc.stdout == out.encode()

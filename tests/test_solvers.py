@@ -21,6 +21,7 @@ from stratclass import (
     grid_oracle,
     is_lipschitz,
     project_lipschitz,
+    shift_cost,
     solve_deterministic,
     solve_efficiency_lp,
     utility,
@@ -161,15 +162,18 @@ class TestEfficiencyLP:
         report = _quiet_best(solve_efficiency_lp, pop, cost)
         assert report.objective == _quiet_best(efficiency, report.classifier, pop, cost)
 
-    def test_reports_tie_break_success(self, twopoint):
-        pop, cost, _ = twopoint
-        assert _quiet_best(solve_efficiency_lp, pop, cost).details["tie_break_success"] is True
+    def test_reports_tie_break_success(self):
+        space = FeatureSpace([1.0, 2.0])
+        pop = Population(space, [0.5, 0.5], [0.0, 1.0])
+        report = _quiet_best(solve_efficiency_lp, pop, shift_cost(space, [0.0, 0.5]))
+        assert report.details == {"lp_objective": 0.75, "tie_break_success": True, "snap_rounds": 0}
+        assert report.classifier.probs.tolist() == [0.5, 1.0]
 
     def test_failed_tie_break_keeps_first_vertex(self, monkeypatch):
         rng = np.random.default_rng(5)
         space = random_space(rng, 9)
         pop = random_population(rng, space)
-        cost = random_simple_cost(rng, space)
+        cost = shift_cost(space, np.cumsum(rng.uniform(0.0, 0.3, size=9)))
         real = solvers.linprog
         first = []
 
@@ -182,16 +186,18 @@ class TestEfficiencyLP:
         monkeypatch.setattr(solvers, "linprog", second_call_fails)
         report = _quiet_best(solve_efficiency_lp, pop, cost)
         assert report.details["tie_break_success"] is False
-        vertex = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
+        vertex, _ = solvers._snap_lipschitz(np.clip(first[0].x, 0.0, 1.0), cost.costs)
         assert np.array_equal(report.classifier.probs, vertex)
 
     @pytest.mark.parametrize("n", [1, 2, 9])
     def test_two_linprog_calls_per_solve(self, n, monkeypatch):
-        # the benchmark's solvers.linprog.calls counts this seam: 2 per LP
+        # the benchmark's solvers.linprog.calls counts this seam: 2 per
+        # separable LP, none for a tabular one, which runs the flow solver
         rng = np.random.default_rng(n)
         space = random_space(rng, n)
         pop = random_population(rng, space)
-        cost = CostFunction(space, [[0.0]]) if n == 1 else random_simple_cost(rng, space)
+        separable = shift_cost(space, np.cumsum(rng.uniform(0.0, 0.3, size=n)))
+        tabular = random_simple_cost(rng, space)
         real = solvers.linprog
         calls = []
 
@@ -201,17 +207,20 @@ class TestEfficiencyLP:
 
         monkeypatch.setattr(solvers, "linprog", counted)
         for solves in (1, 2):
-            _quiet_best(solve_efficiency_lp, pop, cost)
+            _quiet_best(solve_efficiency_lp, pop, separable)
+            assert len(calls) == 2 * solves
+            _quiet_best(solve_efficiency_lp, pop, tabular)
             assert len(calls) == 2 * solves
         assert (calls[0] is None) == (n == 1)
 
     @pytest.mark.parametrize("h, accept", [(0.25, 0.0), (0.75, 1.0)])
     def test_one_point_has_no_constraint_rows(self, h, accept):
+        # one augmentation ships the point's supply to the anchor, or back
         space = FeatureSpace([0.5])
         report = solve_efficiency_lp(Population(space, [1.0], [h]), CostFunction(space, [[0.0]]))
         assert report.classifier.probs.tolist() == [accept]
         assert report.objective == 0.75
-        assert report.details == {"lp_objective": 0.75, "tie_break_success": True}
+        assert report.details == {"augmentations": 1, "snap_rounds": 0}
 
     def test_size_cap(self):
         n = LP_MAX_POINTS + 1
@@ -220,6 +229,137 @@ class TestEfficiencyLP:
         cost = CostFunction(space, np.zeros((n, n)))
         with pytest.raises(ValueError, match="capped"):
             solve_efficiency_lp(pop, cost)
+
+
+# Unit roundoff of float64.
+_U = np.finfo(float).eps / 2
+# HiGHS's default dual feasibility tolerance: it stops once no reduced cost
+# is worse than this, so its objective may fall short of the optimum by up
+# to this much per unit of g, at most n in all.
+_HIGHS_DUAL_TOL = 1e-7
+
+
+def _budgets(weights: np.ndarray) -> tuple[float, float]:
+    """Derived rounding bounds on (w.g, g) between two solvers of the LP.
+
+    Every vertex of the LP is a vector of shortest distances from the anchor
+    of the dual flow graph: each g_v is the length of a path of at most n
+    arcs whose partial sums are themselves distances, so lie in [0, 1].
+    Each addition rounds by at most u, so a vertex summed along paths is
+    within n u of the real one, entry by entry.  With W = sum |w|:
+
+    - w.g moves by at most n u W through the entries, and the n-term dot
+      product rounds by at most n u W more: 2 n u W a solver, 4 n u W
+      between two.  The flow's cost (its dual objective, an fsum of
+      products) is within the same 2 n u W of the optimum, plus 2 u W.
+    - HiGHS's second solve fixes a block of entries that move together
+      through the row w.g = opt, dividing by the block's sum of w.  The
+      optimum, the other entries and the dot product each carry up to
+      n u W, so the block is within 3 n u W / |sum| more.  On a
+      nondecreasing g a block is a run of grid points, so the smallest
+      nonzero |sum of w over a run| bounds the divisor: n u (2 + 3 W / m).
+    """
+    n = weights.size
+    total = float(np.abs(weights).sum())
+    prefix = np.concatenate([[0.0], np.cumsum(weights)])
+    runs = np.abs(prefix[None, :] - prefix[:, None])
+    runs = runs[runs > 0.0]
+    kappa = total / float(runs.min()) if runs.size else 0.0
+    return (4 * n + 2) * _U * total, n * _U * (2.0 + 3.0 * kappa)
+
+
+def _check_flow_solve(pop: Population, cost: CostFunction) -> None:
+    weights = pop.pi * (2.0 * pop.h - 1.0)
+    n = weights.size
+    objective_bound, g_bound = _budgets(weights)
+    top, flow_cost, _ = solvers._efficiency_flow(weights, cost.costs)
+    # duality certificate, no HiGHS involved: the unsnapped w.g is the flow's cost
+    assert abs(float(np.dot(weights, top)) - flow_cost) <= objective_bound
+    x, details = solvers._efficiency_highs(weights, cost.costs)
+    g = np.clip(top, 0.0, 1.0)
+    gain = float(np.dot(weights, g)) - details["lp_objective"]
+    assert -objective_bound <= gain <= n * _HIGHS_DUAL_TOL + objective_bound
+    if gain <= objective_bound:  # the oracle reached the optimum: same face, same top
+        assert np.max(np.abs(g - np.clip(x, 0.0, 1.0))) <= g_bound
+    report = _quiet_best(solve_efficiency_lp, pop, cost)
+    probs = report.classifier.probs
+    assert np.all(probs[None, :] - probs[:, None] <= cost.costs), "covered exactly, not to tolerance"
+    assert not _quiet_best(best_response, report.classifier, cost).moved.any()
+    assert not np.signbit(probs).any()
+
+
+class TestEfficiencyFlow:
+    """The tabular LP's flow solver against two HiGHS solves, and on its own."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 12),
+        scale=st.sampled_from([1.0, 0.05]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_highs_oracle(self, seed, n, scale):
+        rng = np.random.default_rng(seed)
+        space = random_space(rng, n)
+        _check_flow_solve(random_population(rng, space), random_simple_cost(rng, space, scale))
+
+    def test_matches_the_highs_oracle_at_the_size_cap(self):
+        rng = np.random.default_rng(2029)
+        space = random_space(rng, LP_MAX_POINTS)
+        _check_flow_solve(random_population(rng, space), random_simple_cost(rng, space))
+
+    def test_beats_an_oracle_that_stops_short(self):
+        # w_2 = 6.1e-8 lies below HiGHS's dual feasibility tolerance, and
+        # HiGHS settles 6.1e-8 short of the optimum that the flow finds
+        rng = np.random.default_rng(4248)
+        space = random_space(rng, int(rng.integers(1, 13)))
+        pop = random_population(rng, space)
+        cost = random_simple_cost(rng, space)
+        weights = pop.pi * (2.0 * pop.h - 1.0)
+        top, _, _ = solvers._efficiency_flow(weights, cost.costs)
+        _, details = solvers._efficiency_highs(weights, cost.costs)
+        assert 5e-8 < float(np.dot(weights, top)) - details["lp_objective"] < 1e-7
+        _check_flow_solve(pop, cost)
+
+    @pytest.mark.parametrize(
+        "case", ["weights zero", "weights negative", "costs at least one", "costs zero"]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_degenerate_draws(self, case, seed):
+        rng = np.random.default_rng(seed)
+        n = 7
+        space = random_space(rng, n)
+        pop = random_population(rng, space)
+        cost = random_simple_cost(rng, space)
+        if case == "weights zero":  # the whole box is optimal: its top is all ones
+            pop = Population(space, pop.pi, np.full(n, 0.5))
+        elif case == "weights negative":
+            pop = Population(space, pop.pi, pop.h * 0.49)
+        elif case == "costs at least one":  # no pair constraint binds
+            cost = CostFunction(space, np.triu(cost.costs + 1.0, 1))
+        else:  # every g_j - g_i <= 0: one common value
+            cost = CostFunction(space, np.zeros((n, n)))
+        weights = pop.pi * (2.0 * pop.h - 1.0)
+        expect = {
+            "weights zero": np.ones(n),
+            "weights negative": np.zeros(n),
+            "costs at least one": (weights >= 0.0).astype(float),
+            "costs zero": np.full(n, float(weights.sum() >= 0.0)),
+        }[case]
+        top, _, _ = solvers._efficiency_flow(weights, cost.costs)
+        assert np.clip(top, 0.0, 1.0).tolist() == expect.tolist()
+        _check_flow_solve(pop, cost)
+
+    def test_no_negative_zero(self):
+        # zero-cost arcs make reverse arcs of length zero; none of them
+        # turns into a -0.0 entry, even where the costs hold -0.0 themselves
+        space = FeatureSpace([1.0, 2.0, 3.0, 4.0])
+        pop = Population(space, [0.3, 0.3, 0.2, 0.2], [0.0, 0.1, 0.2, 0.9])
+        costs = np.array(
+            [[0.0, -0.0, 0.3, 0.9], [0.0, 0.0, -0.0, 0.6], [0.0, 0.0, 0.0, 0.6], [0.0] * 4]
+        )
+        report = solve_efficiency_lp(pop, CostFunction(space, costs))
+        assert 0.0 in report.classifier.probs.tolist()
+        assert not np.signbit(report.classifier.probs).any()
 
 
 class TestGridOracle:
